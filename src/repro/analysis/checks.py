@@ -705,20 +705,27 @@ def _check_direct_output(context: ModuleContext) -> Iterator[Violation]:
 # ----------------------------------------------------------------------
 # SWP011 — the adaptive loops are reached only through the planner
 # ----------------------------------------------------------------------
-_ADAPTIVE_LOOPS = {"adaptive_top_k", "adaptive_filter"}
+_ADAPTIVE_LOOPS = {"adaptive_top_k", "adaptive_filter", "run_adaptive"}
 
 #: Modules allowed to touch the loops directly: the engine defines them,
-#: and the planner's ``run_query_spec`` is the single sanctioned dispatch
-#: point (the four ``swope_*`` entry points are spec wrappers over it).
-_ADAPTIVE_LOOP_MODULES = {"repro.core.engine", "repro.core.plan"}
+#: the planner's ``run_query_spec`` is the single sanctioned dispatch
+#: point (the four ``swope_*`` entry points are spec wrappers over it),
+#: and the exact-stopping baselines drive ``run_adaptive`` with their
+#: own rules.
+_ADAPTIVE_LOOP_MODULES = {
+    "repro.core.engine",
+    "repro.core.plan",
+    "repro.baselines.adaptive_exact",
+}
 
 
 @rule(
     "SWP011",
     "loops-behind-planner",
-    summary="adaptive_top_k/adaptive_filter outside repro.core.plan must go"
-    " through the planner",
-    scope="src/repro except repro.core.engine and repro.core.plan",
+    summary="adaptive_top_k/adaptive_filter/run_adaptive outside"
+    " repro.core.plan must go through the planner",
+    scope="src/repro except repro.core.engine, repro.core.plan and"
+    " repro.baselines.adaptive_exact",
 )
 def _check_planner_seam(context: ModuleContext) -> Iterator[Violation]:
     """Keep the adaptive loops behind the query-planner seam.
@@ -726,7 +733,9 @@ def _check_planner_seam(context: ModuleContext) -> Iterator[Violation]:
     :func:`repro.core.plan.run_query_spec` is the single place that
     builds providers, schedules, and failure budgets before entering
     :func:`~repro.core.engine.adaptive_top_k` /
-    :func:`~repro.core.engine.adaptive_filter`; a direct call elsewhere
+    :func:`~repro.core.engine.adaptive_filter` (or the rule-generic
+    :func:`~repro.core.engine.run_adaptive`, which only the
+    exact-stopping baselines drive directly); a direct call elsewhere
     in ``src/repro`` re-derives (and eventually diverges from) that
     wiring and bypasses plan-wide budgets, shared-scan accounting, and
     the plan trace events. Route new call sites through a

@@ -1,9 +1,10 @@
-"""Generic loops for the exact-answer adaptive baselines (KDD'19 [32]).
+"""Exact-answer adaptive baselines (KDD'19 [32]) on the SWOPE loop.
 
 EntropyRank and EntropyFilter (Wang & Ding, "Fast Approximation of
 Empirical Entropy via Subsampling", KDD 2019 — reference [32] of the
 reproduced paper) use the same sampling-without-replacement bounds as SWOPE
-but *exact* stopping rules:
+but *exact* stopping rules (:class:`~repro.core.engine.ExactTopK`,
+:class:`~repro.core.engine.ExactFilter`):
 
 * **top-k**: stop once the k-th largest lower bound is no smaller than the
   (k+1)-th largest upper bound — the answer is then provably the exact
@@ -13,51 +14,28 @@ but *exact* stopping rules:
 
 Both rules force the sample to grow until data-dependent gaps (Δ between
 the k-th and (k+1)-th scores; δ between a score and η) are resolved, which
-is the inefficiency the reproduced paper removes. Sharing the providers and
-schedule with SWOPE makes the comparison isolate exactly that difference.
-
-The loops below take the same :class:`~repro.core.engine.ScoreProvider`
-objects as the SWOPE engine, so the MI variants come for free.
+is the inefficiency the reproduced paper removes. Running them on the same
+providers, schedule and loop as SWOPE
+(:func:`~repro.core.engine.run_adaptive`) makes the comparison isolate
+exactly that difference, and gives the MI variants for free.
 """
 
 from __future__ import annotations
 
-import time
-
-from repro.core.budget import (
-    CancellationToken,
-    QueryBudget,
-    check_interruption,
-    raise_interrupted,
-)
+from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.engine import (
-    Interval,
+    ExactFilter,
+    ExactTopK,
     ScoreProvider,
+    run_adaptive,
     validate_k,
     validate_threshold,
 )
-from repro.core.results import (
-    AttributeEstimate,
-    FilterResult,
-    GuaranteeStatus,
-    RunStats,
-    TopKResult,
-)
+from repro.core.results import FilterResult, TopKResult
 from repro.core.schedule import SampleSchedule
 from repro.data.sampling import PrefixSampler
-from repro.exceptions import ParameterError
 
 __all__ = ["exact_stopping_top_k", "exact_stopping_filter"]
-
-
-def _estimate(attribute: str, iv: Interval, sample_size: int) -> AttributeEstimate:
-    return AttributeEstimate(
-        attribute=attribute,
-        estimate=max(iv.lower, min(iv.upper, iv.midpoint)),
-        lower=iv.lower,
-        upper=iv.upper,
-        sample_size=sample_size,
-    )
 
 
 def exact_stopping_top_k(
@@ -75,13 +53,6 @@ def exact_stopping_top_k(
 ) -> TopKResult:
     """EntropyRank-style top-k: run until the exact answer is certain.
 
-    In each iteration the candidates are ranked by *lower* bound; the loop
-    stops when the k-th largest lower bound is at least the (k+1)-th
-    largest upper bound over the whole candidate set (then the k attributes
-    with the largest lower bounds are provably the exact top-k, up to
-    bound-failure probability). At ``M = N`` the bounds are exact and the
-    rule always fires.
-
     ``budget``/``cancellation``/``strict`` follow the engine's contract
     (:func:`repro.core.engine.adaptive_top_k`): the checkpoint runs once
     per iteration, a truncated run returns the current best-effort
@@ -89,76 +60,10 @@ def exact_stopping_top_k(
     ``strict=True`` raises instead. Converged exact runs keep
     ``result.guarantee`` as ``None`` — exactness needs no certificate.
     """
-    k = validate_k(k)
-    if not candidates:
-        raise ParameterError("top-k query needs at least one candidate attribute")
-    k_effective = min(k, len(candidates))
-    started = time.perf_counter()
-    cells_at_start = sampler.cells_scanned
-    stats = RunStats()
-    live = list(candidates)
-    iterations = 0
-    answer: list[tuple[str, Interval]] = []
-    stop_reason: str | None = None
-    sample_size = schedule.sizes[0]
-    for index, sample_size in enumerate(schedule.sizes):
-        iterations += 1
-        intervals = {a: provider.interval(a, sample_size) for a in live}
-        by_lower = sorted(live, key=lambda a: intervals[a].lower, reverse=True)
-        answer = [(a, intervals[a]) for a in by_lower[:k_effective]]
-        kth_lower = answer[-1][1].lower
-        if len(live) <= k_effective:
-            break
-        uppers = sorted((intervals[a].upper for a in live), reverse=True)
-        next_upper = uppers[k_effective]
-        if kth_lower >= next_upper:
-            break
-        if index == len(schedule.sizes) - 1:
-            break  # M = N: bounds are exact, the ranking is the answer.
-        stop_reason = check_interruption(
-            budget,
-            cancellation,
-            elapsed_seconds=time.perf_counter() - started,
-            cells_used=sampler.cells_scanned - cells_at_start,
-            next_sample_size=schedule.sizes[index + 1],
-        )
-        if stop_reason is not None:
-            break
-        if prune:
-            survivors = [a for a in live if intervals[a].upper >= kth_lower]
-            for gone in set(live) - set(survivors):
-                stats.candidates_pruned += 1
-                sampler.release(gone)
-            live = survivors
-    stats.iterations = iterations
-    stats.final_sample_size = sample_size
-    stats.population_size = sampler.num_rows
-    stats.cells_scanned = sampler.cells_scanned
-    stats.wall_seconds = time.perf_counter() - started
-    guarantee = None
-    if stop_reason is not None:
-        # Truncated: the current by-lower-bound ranking is still a valid
-        # best-effort answer (every interval holds). Back-solve the ε the
-        # ranking does satisfy, as the SWOPE engine does.
-        upper_k = min(iv.upper for _, iv in answer)
-        width_max = max(iv.width for _, iv in answer)
-        guarantee = GuaranteeStatus(
-            guarantee_met=False,
-            stopping_reason=stop_reason,
-            requested_epsilon=0.0,
-            achieved_epsilon=0.0 if upper_k <= 0.0 else width_max / upper_k,
-        )
-    result = TopKResult(
-        attributes=[a for a, _ in answer],
-        estimates=[_estimate(a, iv, sample_size) for a, iv in answer],
-        stats=stats,
-        k=k,
-        target=target,
-        guarantee=guarantee,
+    return run_adaptive(
+        ExactTopK(validate_k(k), prune), provider, sampler, candidates, schedule,
+        target=target, budget=budget, cancellation=cancellation, strict=strict,
     )
-    if strict and stop_reason is not None:
-        raise_interrupted(stop_reason, result)
-    return result
 
 
 def exact_stopping_filter(
@@ -175,109 +80,13 @@ def exact_stopping_filter(
 ) -> FilterResult:
     """EntropyFilter-style filtering: retire only on certain comparisons.
 
-    An attribute is included once ``lower > η``, excluded once
-    ``upper < η``. An attribute whose exact score equals ``η`` can never
-    satisfy either strict inequality, so at the final sample size
-    (``M = N``, exact bounds) remaining attributes are decided by
-    ``estimate >= η`` directly — matching the exact answer's closed
-    threshold.
-
     ``budget``/``cancellation``/``strict`` follow the engine's contract:
     a truncated run resolves the still-undecided attributes best-effort
     by interval midpoint, lists them in ``result.guarantee.undecided``,
     and ``strict=True`` raises with the partial result attached.
     """
-    threshold = validate_threshold(threshold)
-    if not candidates:
-        raise ParameterError("filtering query needs at least one candidate attribute")
-    started = time.perf_counter()
-    cells_at_start = sampler.cells_scanned
-    stats = RunStats()
-    undecided = list(candidates)
-    included: list[str] = []
-    estimates: dict[str, AttributeEstimate] = {}
-    last_intervals: dict[str, Interval] = {}
-    iterations = 0
-    stop_reason: str | None = None
-    sample_size = schedule.sizes[0]
-    for index, sample_size in enumerate(schedule.sizes):
-        iterations += 1
-        final_round = index == len(schedule.sizes) - 1
-        still: list[str] = []
-        for attribute in undecided:
-            iv = provider.interval(attribute, sample_size)
-            last_intervals[attribute] = iv
-            decided = True
-            if iv.lower > threshold:
-                included.append(attribute)
-            elif iv.upper < threshold:
-                pass  # excluded
-            elif final_round:
-                # Exact bounds; close the threshold comparison (>= η).
-                if iv.estimate >= threshold:
-                    included.append(attribute)
-            else:
-                decided = False
-                still.append(attribute)
-            if decided:
-                estimates[attribute] = _estimate(attribute, iv, sample_size)
-                sampler.release(attribute)
-        undecided = still
-        if not undecided:
-            break
-        if index < len(schedule.sizes) - 1:
-            stop_reason = check_interruption(
-                budget,
-                cancellation,
-                elapsed_seconds=time.perf_counter() - started,
-                cells_used=sampler.cells_scanned - cells_at_start,
-                next_sample_size=schedule.sizes[index + 1],
-            )
-            if stop_reason is not None:
-                break
-    if stop_reason is None:
-        assert not undecided, "exact filtering ended with undecided attributes"
-    undecided_at_stop = tuple(undecided)
-    for attribute in undecided_at_stop:
-        # Best-effort resolution of what the budget cut off: decide by
-        # midpoint, keep the (still valid) current interval.
-        iv = last_intervals[attribute]
-        if iv.midpoint >= threshold:
-            included.append(attribute)
-        estimates[attribute] = _estimate(attribute, iv, sample_size)
-    guarantee = None
-    if stop_reason is not None:
-        # Width-implied ε, as in the SWOPE engine: the smallest ε' whose
-        # width rule (width < 2ε'η) would have decided every remaining
-        # attribute at the final intervals.
-        achieved = 0.0
-        if undecided_at_stop:
-            if threshold > 0.0:
-                worst = max(last_intervals[a].width for a in undecided_at_stop)
-                achieved = worst / (2.0 * threshold)
-            else:  # pragma: no cover - η = 0 decides every attribute instantly
-                achieved = float("inf")
-        guarantee = GuaranteeStatus(
-            guarantee_met=False,
-            stopping_reason=stop_reason,
-            requested_epsilon=0.0,
-            achieved_epsilon=achieved,
-            undecided=undecided_at_stop,
-        )
-    included.sort(key=lambda a: estimates[a].estimate, reverse=True)
-    stats.iterations = iterations
-    stats.final_sample_size = sample_size
-    stats.population_size = sampler.num_rows
-    stats.cells_scanned = sampler.cells_scanned
-    stats.wall_seconds = time.perf_counter() - started
-    result = FilterResult(
-        attributes=included,
-        estimates=estimates,
-        stats=stats,
-        threshold=threshold,
-        target=target,
-        guarantee=guarantee,
+    return run_adaptive(
+        ExactFilter(validate_threshold(threshold)), provider, sampler,
+        candidates, schedule,
+        target=target, budget=budget, cancellation=cancellation, strict=strict,
     )
-    if strict and stop_reason is not None:
-        raise_interrupted(stop_reason, result)
-    return result

@@ -12,12 +12,11 @@ import numpy as np
 
 from repro.baselines.adaptive_exact import exact_stopping_filter
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.core.engine import EntropyScoreProvider, default_failure_probability
+from repro.core.plan import QuerySpec, prepare_query
 from repro.core.results import FilterResult
 from repro.core.schedule import SampleSchedule
 from repro.data.column_store import ColumnStore
 from repro.data.sampling import PrefixSampler
-from repro.exceptions import SchemaError
 
 __all__ = ["entropy_filter"]
 
@@ -41,30 +40,15 @@ def entropy_filter(
     minus ``epsilon``.
     ``budget``/``cancellation``/``strict`` behave as in the SWOPE engine.
     """
-    names = list(attributes) if attributes is not None else list(store.attributes)
-    unknown = [a for a in names if a not in store]
-    if unknown:
-        raise SchemaError(f"unknown attributes: {unknown}")
-    if failure_probability is None:
-        failure_probability = default_failure_probability(store.num_rows)
-    if sampler is None:
-        sampler = PrefixSampler(store, seed=seed)
-    if schedule is None:
-        schedule = SampleSchedule.for_query(
-            store.num_rows,
-            len(names),
-            failure_probability,
-            max(store.support_size(a) for a in names),
-        )
-    per_bound = schedule.per_round_failure(failure_probability, len(names))
-    provider = EntropyScoreProvider(sampler, per_bound)
+    query = prepare_query(
+        store,
+        QuerySpec("filter", "entropy", threshold=threshold, attributes=attributes),
+        failure_probability=failure_probability,
+        seed=seed,
+        schedule=schedule,
+        sampler=sampler,
+    )
     return exact_stopping_filter(
-        provider,
-        sampler,
-        names,
-        threshold,
-        schedule,
-        budget=budget,
-        cancellation=cancellation,
-        strict=strict,
+        query.provider, query.sampler, query.names, threshold, query.schedule,
+        budget=budget, cancellation=cancellation, strict=strict,
     )

@@ -10,15 +10,11 @@ import numpy as np
 
 from repro.baselines.adaptive_exact import exact_stopping_filter
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.core.engine import (
-    MutualInformationScoreProvider,
-    default_failure_probability,
-)
+from repro.core.plan import QuerySpec, prepare_query
 from repro.core.results import FilterResult
 from repro.core.schedule import SampleSchedule
 from repro.data.column_store import ColumnStore
 from repro.data.sampling import PrefixSampler
-from repro.exceptions import ParameterError, SchemaError
 
 __all__ = ["entropy_filter_mutual_information"]
 
@@ -44,46 +40,21 @@ def entropy_filter_mutual_information(
     ``epsilon``.
     ``budget``/``cancellation``/``strict`` behave as in the SWOPE engine.
     """
-    if target not in store:
-        raise SchemaError(f"unknown target attribute {target!r}")
-    if candidates is None:
-        names = [a for a in store.attributes if a != target]
-    else:
-        names = list(candidates)
-        unknown = [a for a in names if a not in store]
-        if unknown:
-            raise SchemaError(f"unknown attributes: {unknown}")
-        if target in names:
-            raise ParameterError(
-                f"target attribute {target!r} cannot also be a candidate"
-            )
-    if not names:
-        raise ParameterError(
-            "MI filtering query needs at least one candidate attribute"
-        )
-    if failure_probability is None:
-        failure_probability = default_failure_probability(store.num_rows)
-    if sampler is None:
-        sampler = PrefixSampler(store, seed=seed)
-    if schedule is None:
-        schedule = SampleSchedule.for_query(
-            store.num_rows,
-            len(names) + 1,
-            failure_probability,
-            max(store.support_size(a) for a in [target, *names]),
-        )
-    per_bound = schedule.per_round_failure(
-        failure_probability, len(names), bounds_per_attribute=3
+    query = prepare_query(
+        store,
+        QuerySpec(
+            "filter",
+            "mutual_information",
+            threshold=threshold,
+            target=target,
+            attributes=candidates,
+        ),
+        failure_probability=failure_probability,
+        seed=seed,
+        schedule=schedule,
+        sampler=sampler,
     )
-    provider = MutualInformationScoreProvider(sampler, target, per_bound)
     return exact_stopping_filter(
-        provider,
-        sampler,
-        names,
-        threshold,
-        schedule,
-        target=target,
-        budget=budget,
-        cancellation=cancellation,
-        strict=strict,
+        query.provider, query.sampler, query.names, threshold, query.schedule,
+        target=target, budget=budget, cancellation=cancellation, strict=strict,
     )

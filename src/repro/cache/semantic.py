@@ -7,10 +7,12 @@ enough for ``η′``, since the rule-1 goal ``2εη′`` only widens), and a
 top-``k`` answer can answer any ``k′ <= k`` (the ``k′``-th largest upper
 bound is no smaller and the answer set's worst width no larger, so the
 Definition 5 stopping quantity only improves). This module turns that
-dominance into *bit-identical* derived answers by replaying the exact
-decision rules of :mod:`repro.core.engine` over the per-iteration
-interval history the cache recorded — same sample sizes, same bounds,
-same tie-breaks — instead of re-deriving anything from final estimates.
+dominance into *bit-identical* derived answers by driving the engine's
+own :class:`~repro.core.engine.SwopeFilter` /
+:class:`~repro.core.engine.SwopeTopK` rules through
+:func:`~repro.core.engine.run_adaptive` over the per-iteration interval
+history the cache recorded — same sample sizes, same bounds, same
+tie-breaks — instead of re-deriving anything from final estimates.
 
 The replay is deliberately *partial*: it serves only when the recorded
 history provably contains every interval the derived run would have
@@ -29,16 +31,17 @@ the clipped ``(lower, upper)`` pair alone.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Mapping, Sequence
+from typing import NamedTuple, TypeVar
 
-from repro.core.results import (
-    AttributeEstimate,
-    FilterResult,
-    GuaranteeStatus,
-    RunStats,
-    TopKResult,
+from repro.core.engine import (
+    PhaseTimings,
+    StoppingRule,
+    SwopeFilter,
+    SwopeTopK,
+    run_adaptive,
 )
+from repro.core.results import FilterResult, TopKResult
 
 __all__ = ["Bounds", "History", "replay_filter", "replay_top_k"]
 
@@ -49,28 +52,81 @@ Bounds = tuple[float, float, float, float]
 History = Sequence[tuple[int, Mapping[str, Bounds]]]
 
 
-def _estimate(attribute: str, entry: Bounds, sample_size: int) -> AttributeEstimate:
-    """The engine's estimate construction, byte for byte."""
-    lower, upper, _width, midpoint = entry
-    return AttributeEstimate(
-        attribute=attribute,
-        estimate=max(lower, min(upper, midpoint)),
-        lower=lower,
-        upper=upper,
-        sample_size=sample_size,
-    )
+class _Recorded(NamedTuple):
+    """A recorded interval, read by the rules like a live one."""
+
+    lower: float
+    upper: float
+    width: float
+    midpoint: float
+
+    @property
+    def estimate(self) -> float:
+        # The plug-in estimate is not recorded; only the exact filter
+        # rule reads it, and exact rules are never replayed.
+        return max(self.lower, min(self.upper, self.midpoint))
 
 
-def _replay_stats(
-    iterations: int, final_sample_size: int, population_size: int, pruned: int = 0
-) -> RunStats:
-    """Stats of a replayed run: real loop shape, zero work."""
-    return RunStats(
-        iterations=iterations,
-        final_sample_size=final_sample_size,
-        population_size=population_size,
-        candidates_pruned=pruned,
-    )
+class _Refused(Exception):
+    """The history lacks an interval the derived run would consult."""
+
+
+class _Replay:
+    """A recorded history posing as the loop's provider, sampler and
+    schedule: same sample sizes and intervals, zero cells.
+
+    ``sizes`` ends with one size past the recording, so a derived run
+    that would need an iteration the cached run never executed asks for
+    it and is refused rather than extrapolated.
+    """
+
+    bounds_per_attribute = 1
+    cells_scanned = 0
+    cells_saved = 0
+
+    def __init__(self, history: History, population_size: int) -> None:
+        self._bounds = {size: bounds for size, bounds in history}
+        recorded = tuple(size for size, _ in history)
+        self.sizes = recorded + ((recorded[-1] if recorded else 0) + 1,)
+        self.num_rows = population_size
+        self.timings = PhaseTimings()
+
+    def intervals(
+        self, attributes: Sequence[str], sample_size: int
+    ) -> dict[str, _Recorded]:
+        bounds = self._bounds.get(sample_size, {})
+        if any(attribute not in bounds for attribute in attributes):
+            raise _Refused
+        return {a: _Recorded(*bounds[a]) for a in attributes}
+
+    def release(self, name: str) -> None:
+        """Nothing to release: a replay holds no counters."""
+
+
+_R = TypeVar("_R", TopKResult, FilterResult)
+
+
+def _replay(
+    rule: StoppingRule[_R],
+    history: History,
+    candidates: Sequence[str],
+    population_size: int,
+    target: str | None,
+) -> _R | None:
+    """Drive ``rule`` over ``history``; ``None`` when it does not cover."""
+    if not candidates:
+        return None
+    replay = _Replay(history, population_size)
+    try:
+        # Replays a recorded history: no budget, scan or plan to account.
+        result = run_adaptive(  # noqa: SWP011
+            rule, replay, replay, candidates, replay, target=target
+        )
+    except _Refused:
+        return None
+    # Stats of a replayed run: real loop shape, zero work.
+    result.stats.wall_seconds = 0.0
+    return result
 
 
 def replay_filter(
@@ -88,57 +144,12 @@ def replay_filter(
     ``threshold`` would produce, or ``None`` when the history does not
     cover every interval that run would need (see module docstring).
     """
-    undecided = list(candidates)
-    included: list[str] = []
-    estimates: dict[str, AttributeEstimate] = {}
-    iterations = 0
-    final_sample_size = 0
-    converged = False
-    for sample_size, bounds in history:
-        iterations += 1
-        final_sample_size = sample_size
-        still: list[str] = []
-        for attribute in undecided:
-            entry = bounds.get(attribute)
-            if entry is None:
-                # The cached run retired this attribute before η′ could
-                # decide it — the history is insufficient, refuse.
-                return None
-            lower, upper, width, midpoint = entry
-            decided = True
-            if width < 2.0 * epsilon * threshold:
-                if midpoint >= threshold:
-                    included.append(attribute)
-            elif lower >= (1.0 - epsilon) * threshold:
-                included.append(attribute)
-            elif upper < (1.0 + epsilon) * threshold:
-                pass  # excluded
-            else:
-                decided = False
-                still.append(attribute)
-            if decided:
-                estimates[attribute] = _estimate(attribute, entry, sample_size)
-        undecided = still
-        if not undecided:
-            converged = True
-            break
-    if not converged:
-        return None
-    included.sort(key=lambda a: estimates[a].estimate, reverse=True)
-    guarantee = GuaranteeStatus(
-        guarantee_met=True,
-        stopping_reason="converged",
-        requested_epsilon=epsilon,
-        achieved_epsilon=epsilon,
-        undecided=(),
-    )
-    return FilterResult(
-        attributes=included,
-        estimates=estimates,
-        stats=_replay_stats(iterations, final_sample_size, population_size),
-        threshold=threshold,
-        target=target,
-        guarantee=guarantee,
+    return _replay(
+        SwopeFilter(threshold, epsilon),
+        history,
+        candidates,
+        population_size,
+        target,
     )
 
 
@@ -157,57 +168,10 @@ def replay_top_k(
     Returns the :class:`~repro.core.results.TopKResult` a fresh run at
     ``k`` would produce, or ``None`` when the history does not cover it.
     """
-    if not candidates:
-        return None
-    k_effective = min(k, len(candidates))
-    live = list(candidates)
-    iterations = 0
-    pruned = 0
-    final_sample_size = 0
-    answer: list[tuple[str, Bounds]] = []
-    converged = False
-    last_index = len(history) - 1
-    for index, (sample_size, bounds) in enumerate(history):
-        iterations += 1
-        final_sample_size = sample_size
-        if any(attribute not in bounds for attribute in live):
-            return None
-        by_upper = sorted(live, key=lambda a: bounds[a][1], reverse=True)
-        answer = [(a, bounds[a]) for a in by_upper[:k_effective]]
-        upper_k = answer[-1][1][1]
-        width_max = max(entry[2] for _, entry in answer)
-        if upper_k <= 0.0 or (upper_k - width_max) / upper_k >= 1.0 - epsilon:
-            converged = True
-            break
-        if index == last_index:
-            # The derived run needs at least one iteration the cached
-            # run never executed — refuse rather than extrapolate.
-            return None
-        if prune and len(live) > k_effective:
-            lower_k = heapq.nlargest(
-                k_effective, [bounds[a][0] for a in live]
-            )[-1]
-            survivors = [a for a in live if bounds[a][1] >= lower_k]
-            pruned += len(live) - len(survivors)
-            live = survivors
-    if not converged:
-        return None
-    upper_k = answer[-1][1][1]
-    width_max = max(entry[2] for _, entry in answer)
-    achieved = 0.0 if upper_k <= 0.0 else width_max / upper_k
-    guarantee = GuaranteeStatus(
-        guarantee_met=True,
-        stopping_reason="converged",
-        requested_epsilon=epsilon,
-        achieved_epsilon=achieved,
-    )
-    return TopKResult(
-        attributes=[a for a, _ in answer],
-        estimates=[_estimate(a, entry, final_sample_size) for a, entry in answer],
-        stats=_replay_stats(
-            iterations, final_sample_size, population_size, pruned
-        ),
-        k=k,
-        target=target,
-        guarantee=guarantee,
+    return _replay(
+        SwopeTopK(k, epsilon, prune),
+        history,
+        candidates,
+        population_size,
+        target,
     )

@@ -32,7 +32,6 @@ from repro.core.bounds import (
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.engine import (
     EntropyScoreProvider,
-    IterationTrace,
     MutualInformationScoreProvider,
     PhaseTimings,
     QueryTrace,
@@ -77,7 +76,6 @@ __all__ = [
     "EntropyScoreProvider",
     "FilterResult",
     "GuaranteeStatus",
-    "IterationTrace",
     "MutualInformationInterval",
     "PhaseTimings",
     "PlanExecutor",

@@ -1,24 +1,26 @@
 """Shared adaptive-sampling engine behind all four SWOPE algorithms.
 
-Algorithms 1–4 of the paper differ only in (a) which score they bound —
-entropy or mutual information — and (b) which stopping rule they apply —
-top-k or filtering. This module factors the common structure:
+Algorithms 1–4 of the paper, and the KDD'19 EntropyRank/EntropyFilter
+baselines [32], differ only in (a) which score they bound — entropy or
+mutual information — and (b) which stopping rule they apply. This module
+factors the common structure:
 
 * **Score providers** (:class:`EntropyScoreProvider`,
   :class:`MutualInformationScoreProvider`) turn an attribute name and a
   sample size into a confidence interval, hiding whether one bound (entropy)
   or three bounds (MI: target, candidate, joint) were consumed.
-* **Generic loops** (:func:`adaptive_top_k`, :func:`adaptive_filter`)
-  implement the doubling iteration, the stopping rules, and the candidate
-  pruning exactly as in the paper's pseudo-code, over any provider.
+* **Stopping rules** (:class:`SwopeTopK`, :class:`SwopeFilter`,
+  :class:`ExactTopK`, :class:`ExactFilter`) are small frozen objects
+  deciding retirements, pruning, stopping, the answer and its guarantee.
+* **One loop** (:func:`run_adaptive`) does everything else: iteration,
+  trace events, budgets, checkpoints, run statistics, metrics, strict
+  mode. :func:`adaptive_top_k` / :func:`adaptive_filter` are the SWOPE
+  entry points :func:`repro.core.plan.run_query_spec` calls.
 
-The entropy/MI-specific public entry points in :mod:`repro.core.topk`,
-:mod:`repro.core.filtering`, :mod:`repro.core.mi_topk`, and
-:mod:`repro.core.mi_filtering` are thin wrappers that build the provider
-and schedule, then delegate here. The unifying observation that makes this
-factoring exact: for both scores the stopping quantity of the top-k rule,
-``2λ + b_max`` (entropy) or ``6λ + b'_max`` (MI), equals the maximum
-interval *width* over the current answer set ``R``.
+The unifying observation that makes this factoring exact: for both
+scores the stopping quantity of the top-k rule, ``2λ + b_max`` (entropy)
+or ``6λ + b'_max`` (MI), equals the maximum interval *width* over the
+current answer set ``R``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Union
+from typing import Callable, Generic, Protocol, TypeVar
 
 from repro.core.bounds import (
     ConfidenceInterval,
@@ -70,15 +72,20 @@ from repro.obs.sinks import TraceSink
 
 __all__ = [
     "EntropyScoreProvider",
-    "IterationTrace",
+    "ExactFilter",
+    "ExactTopK",
+    "Interval",
     "LoopCheckpoint",
     "MutualInformationScoreProvider",
     "PhaseTimings",
     "QueryTrace",
     "ScoreProvider",
-    "TraceTarget",
+    "StoppingRule",
+    "SwopeFilter",
+    "SwopeTopK",
     "adaptive_top_k",
     "adaptive_filter",
+    "run_adaptive",
     "validate_epsilon",
     "validate_failure_probability",
     "validate_k",
@@ -86,7 +93,24 @@ __all__ = [
     "default_failure_probability",
 ]
 
-Interval = Union[ConfidenceInterval, MutualInformationInterval]
+
+class Interval(Protocol):
+    """What the stopping rules read from a Lemma 3 / Section 4 interval."""
+
+    @property
+    def estimate(self) -> float: ...
+
+    @property
+    def lower(self) -> float: ...
+
+    @property
+    def upper(self) -> float: ...
+
+    @property
+    def width(self) -> float: ...
+
+    @property
+    def midpoint(self) -> float: ...
 
 
 # ----------------------------------------------------------------------
@@ -158,18 +182,14 @@ class PhaseTimings:
 
 
 class ScoreProvider(Protocol):
-    """What the generic loops need from a score implementation."""
+    """What the adaptive loop needs from a score implementation."""
 
     #: How many Lemma 3 bounds one interval consumes (1 entropy, 3 MI) —
     #: used to split the failure budget.
     bounds_per_attribute: int
 
-    #: Cumulative counting/bounds wall-clock, snapshotted by the loops.
+    #: Cumulative counting/bounds wall-clock, snapshotted by the loop.
     timings: PhaseTimings
-
-    def interval(self, attribute: str, sample_size: int) -> Interval:
-        """Confidence interval of the attribute's score at ``sample_size``."""
-        ...  # pragma: no cover - protocol
 
     def intervals(
         self, attributes: Sequence[str], sample_size: int
@@ -177,8 +197,8 @@ class ScoreProvider(Protocol):
         """Confidence intervals of a batch of attributes at ``sample_size``.
 
         One counting pass and one bounds pass for the whole batch; each
-        returned interval is bit-identical to the scalar
-        :meth:`interval` for the same attribute and sample size.
+        returned interval is bit-identical to the providers' scalar
+        ``interval`` for the same attribute and sample size.
         """
         ...  # pragma: no cover - protocol
 
@@ -317,45 +337,27 @@ class MutualInformationScoreProvider:
 
 
 # ----------------------------------------------------------------------
-# Tracing
+# Tracing and checkpoints
 # ----------------------------------------------------------------------
-@dataclass
-class IterationTrace:
-    """Snapshot of one adaptive iteration (for diagnostics/teaching).
-
-    Attributes
-    ----------
-    sample_size:
-        ``M`` of the iteration.
-    candidates:
-        Attributes still alive when the iteration started.
-    bounds:
-        ``{attribute: (lower, upper)}`` of every interval computed.
-    decided:
-        Attributes retired this iteration (filtering loops; empty for
-        top-k, which retires candidates only by pruning).
-    stopped:
-        Whether the stopping rule fired at this sample size.
-    """
-
-    sample_size: int
-    candidates: list[str]
-    bounds: dict[str, tuple[float, float]]
-    decided: list[str] = field(default_factory=list)
-    stopped: bool = False
-
-
 @dataclass
 class QueryTrace:
     """Per-iteration history of one adaptive query.
 
-    Pass a fresh instance as ``trace=`` to any SWOPE query function; the
-    engine fills ``iterations`` as it runs. Interval widths over
+    A :class:`~repro.obs.sinks.TraceSink` that keeps the
+    :class:`~repro.obs.events.IterationEvent` of every iteration in
+    ``iterations`` and ignores all other events. Pass a fresh instance
+    as ``trace=`` to any SWOPE query function; interval widths over
     ``iterations`` visualise how the bounds tighten and exactly when the
     stopping rule fires (see ``examples/bound_convergence.py``).
     """
 
-    iterations: list[IterationTrace] = field(default_factory=list)
+    iterations: list[IterationEvent] = field(default_factory=list)
+    enabled = True
+
+    def emit(self, event: TraceEvent) -> None:
+        """Keep iteration events; drop the rest."""
+        if isinstance(event, IterationEvent):
+            self.iterations.append(event)
 
     def widths(self, attribute: str) -> list[tuple[int, float]]:
         """``(sample_size, upper - lower)`` wherever ``attribute`` appears.
@@ -384,28 +386,22 @@ class QueryTrace:
         return out
 
 
-#: Accepted by every ``trace=`` parameter: the legacy in-process
-#: :class:`QueryTrace` recorder, or any :class:`repro.obs.sinks.TraceSink`.
-TraceTarget = Union[QueryTrace, TraceSink]
-
-
 @dataclass(frozen=True)
 class LoopCheckpoint:
     """Resumable state of an adaptive loop at one iteration boundary.
 
-    Captured by the ``checkpoint=`` hook of :func:`adaptive_top_k` /
-    :func:`adaptive_filter` *after* the boundary's pruning/retiring, so
-    a loop restarted from it (``resume_state=``) replays exactly the
-    iterations an uninterrupted run would have executed next — the
-    shared sampler's counters carry the rest of the state. Everything
-    here is deterministic at a fixed seed; serialisation belongs to
-    :mod:`repro.durability.checkpoint`.
+    Captured by the ``checkpoint=`` hook of :func:`run_adaptive` *after*
+    the boundary's pruning/retiring, so a loop restarted from it
+    (``resume_state=``) replays exactly the iterations an uninterrupted
+    run would have executed next — the shared sampler's counters carry
+    the rest of the state. Everything here is deterministic at a fixed
+    seed; serialisation belongs to :mod:`repro.durability.checkpoint`.
 
     Attributes
     ----------
     kind:
-        ``"top_k"`` or ``"filter"`` — which loop the state belongs to
-        (resuming into the other loop is a :class:`ParameterError`).
+        ``"top_k"`` or ``"filter"`` — which rule family the state belongs
+        to (resuming into the other is a :class:`ParameterError`).
     next_index:
         Schedule index the resumed loop runs first.
     iterations:
@@ -435,8 +431,30 @@ class LoopCheckpoint:
 CheckpointHook = Callable[[LoopCheckpoint], None]
 
 
+class _Schedule(Protocol):
+    """The sample sizes a loop may visit (a :class:`SampleSchedule`)."""
+
+    @property
+    def sizes(self) -> tuple[int, ...]: ...
+
+
+class _Meter(Protocol):
+    """What the loop reads from and releases on its sampler."""
+
+    @property
+    def num_rows(self) -> int: ...
+
+    @property
+    def cells_scanned(self) -> int: ...
+
+    @property
+    def cells_saved(self) -> int: ...
+
+    def release(self, name: str) -> None: ...
+
+
 def _resume_state_for(
-    resume_state: LoopCheckpoint | None, kind: str, schedule: SampleSchedule
+    resume_state: LoopCheckpoint | None, kind: str, schedule: _Schedule
 ) -> LoopCheckpoint | None:
     """Validate a ``resume_state`` against the loop it is entering."""
     if resume_state is None:
@@ -456,31 +474,20 @@ def _resume_state_for(
     return resume_state
 
 
-def _score_name(provider: ScoreProvider) -> str:
-    """Human label of the provider's score, for trace/metric dimensions."""
-    return "entropy" if provider.bounds_per_attribute == 1 else "mutual_information"
-
-
 class _TraceState:
-    """Routes the loops' observations to a QueryTrace and/or a TraceSink.
+    """Routes the loop's observations to an enabled TraceSink.
 
-    Splits the polymorphic ``trace=`` argument into its two legal shapes
-    and pre-computes the only flag the hot loop consults:
-    ``active`` — whether structured events must be constructed at all.
-    A disabled sink (:class:`repro.obs.sinks.NullSink`) and ``trace=None``
-    are indistinguishable here, which is what makes the default path
+    Pre-computes the only flag the hot loop consults: ``active`` —
+    whether structured events must be constructed at all. A disabled
+    sink (:class:`repro.obs.sinks.NullSink`) and ``trace=None`` are
+    indistinguishable here, which is what makes the default path
     zero-overhead: no event objects, no bounds dicts, no emit calls.
     """
 
-    __slots__ = ("legacy", "sink", "active", "events")
+    __slots__ = ("sink", "active", "events")
 
-    def __init__(self, trace: TraceTarget | None) -> None:
-        self.legacy: QueryTrace | None = None
-        self.sink: TraceSink | None = None
-        if isinstance(trace, QueryTrace):
-            self.legacy = trace
-        elif trace is not None and getattr(trace, "enabled", True):
-            self.sink = trace
+    def __init__(self, trace: TraceSink | None) -> None:
+        self.sink = trace if getattr(trace, "enabled", True) else None
         self.active = self.sink is not None
         self.events = 0
 
@@ -491,62 +498,8 @@ class _TraceState:
 
 
 # ----------------------------------------------------------------------
-# Generic adaptive loops
+# Stopping rules
 # ----------------------------------------------------------------------
-@dataclass
-class _LoopContext:
-    """Bookkeeping shared by the two loops."""
-
-    sampler: PrefixSampler
-    provider: ScoreProvider
-    stats: RunStats
-    started_at: float
-    cells_at_start: int = 0
-    timings_at_start: tuple[float, float] = (0.0, 0.0)
-    saved_at_start: int = 0
-
-    def finish(self, iterations: int, sample_size: int) -> RunStats:
-        self.stats.iterations = iterations
-        self.stats.final_sample_size = sample_size
-        self.stats.population_size = self.sampler.num_rows
-        self.stats.cells_scanned = self.sampler.cells_scanned
-        # Unlike the cumulative cells meter, saved cells are reported as
-        # this query's own delta — that is what cache metrics sum up.
-        self.stats.cells_saved = self.sampler.cells_saved - self.saved_at_start
-        self.stats.wall_seconds = time.perf_counter() - self.started_at
-        counting_before, bounds_before = self.timings_at_start
-        timings = self.provider.timings
-        self.stats.counting_seconds = timings.counting_seconds - counting_before
-        self.stats.bounds_seconds = timings.bounds_seconds - bounds_before
-        return self.stats
-
-    def interruption(
-        self,
-        budget: QueryBudget | None,
-        cancellation: CancellationToken | None,
-        next_sample_size: int,
-    ) -> str | None:
-        """Stopping reason forced by cancellation or the budget, if any.
-
-        Called once per adaptive iteration, between completing one
-        sample size and growing to the next, so every query completes at
-        least one iteration and always holds valid intervals to answer
-        from. Cancellation is an explicit caller request and takes
-        precedence over budget limits. The cell budget is measured
-        against this query's own reads (``cells_at_start`` delta), so a
-        session-shared sampler is budgeted per query, not cumulatively.
-        Delegates to :func:`repro.core.budget.check_interruption`, the
-        checkpoint shared with the exact-stopping baselines.
-        """
-        return check_interruption(
-            budget,
-            cancellation,
-            elapsed_seconds=time.perf_counter() - self.started_at,
-            cells_used=self.sampler.cells_scanned - self.cells_at_start,
-            next_sample_size=next_sample_size,
-        )
-
-
 def _estimate_from_interval(
     attribute: str, iv: Interval, sample_size: int
 ) -> AttributeEstimate:
@@ -559,37 +512,300 @@ def _estimate_from_interval(
     )
 
 
-def _kth_largest(values: list[float], k: int) -> float:
-    """The k-th largest element of ``values`` (1-based k, k <= len).
+Intervals = Mapping[str, Interval]
+_R = TypeVar("_R", TopKResult, FilterResult)
 
-    Heap-based selection: ``O(n log k)`` instead of the ``O(n log n)``
-    full sort — this runs every iteration over all live candidates.
+
+class StoppingRule(Generic[_R]):
+    """What :func:`run_adaptive` asks of a stopping rule.
+
+    Rules are pure functions of the live attributes and their current
+    intervals; the loop alone touches the sampler, trace, stats, and
+    budget. Each iteration the loop applies ``retire`` (filter decisions,
+    ``(attribute, included)`` pairs) before the ``stopped`` test and
+    ``pruned`` (top-k pruning) after the interruption check; at the end
+    ``conclude`` builds the answer and its guarantee (``None`` for a
+    converged exact rule: exactness needs no certificate).
     """
-    return heapq.nlargest(k, values)[-1]
+
+    kind: str
+    epsilon: float
+    k: int | None
+    threshold: float | None
+
+    def retire(
+        self, live: Sequence[str], intervals: Intervals, final: bool
+    ) -> list[tuple[str, bool]]:
+        return []
+
+    def stopped(self, live: Sequence[str], intervals: Intervals, final: bool) -> bool:
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def pruned(self, live: Sequence[str], intervals: Intervals) -> list[str]:
+        return []
+
+    def conclude(
+        self, live: Sequence[str], intervals: Intervals, included: list[str],
+        retired: dict[str, AttributeEstimate], reason: str, stats: RunStats,
+        target: str | None,
+    ) -> _R:
+        raise NotImplementedError  # pragma: no cover - abstract
 
 
-def adaptive_top_k(
+class _TopKRule(StoppingRule[TopKResult]):
+    """Top-k rules: nothing retires; prune, then answer the best ``k``."""
+
+    kind = "top_k"
+    threshold = None
+    k: int
+    prune: bool
+
+    def _ranked(self, live: Sequence[str], intervals: Intervals) -> list[str]:
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def pruned(self, live: Sequence[str], intervals: Intervals) -> list[str]:
+        """Algorithm 1, lines 15–17: drop upper bounds below the k-th
+        largest lower bound (heap selection, ``O(n log k)``)."""
+        k = min(self.k, len(live))
+        if not self.prune or len(live) <= k:
+            return []
+        lower_k = heapq.nlargest(k, [intervals[a].lower for a in live])[-1]
+        return [a for a in live if intervals[a].upper < lower_k]
+
+    def _guarantee(self, answer: list[Interval], reason: str) -> GuaranteeStatus | None:
+        # The answer satisfies Definition 5 with ε' = w_max / Ū_k.
+        upper_k = min(iv.upper for iv in answer)
+        width_max = max(iv.width for iv in answer)
+        return GuaranteeStatus(
+            guarantee_met=reason == "converged",
+            stopping_reason=reason,
+            requested_epsilon=self.epsilon,
+            achieved_epsilon=0.0 if upper_k <= 0.0 else width_max / upper_k,
+        )
+
+    def conclude(
+        self, live: Sequence[str], intervals: Intervals, included: list[str],
+        retired: dict[str, AttributeEstimate], reason: str, stats: RunStats,
+        target: str | None,
+    ) -> TopKResult:
+        names = self._ranked(live, intervals)
+        size = stats.final_sample_size
+        return TopKResult(
+            attributes=names,
+            estimates=[_estimate_from_interval(a, intervals[a], size) for a in names],
+            stats=stats,
+            k=self.k,
+            target=target,
+            guarantee=self._guarantee([intervals[a] for a in names], reason),
+        )
+
+
+@dataclass(frozen=True)
+class SwopeTopK(_TopKRule):
+    """Definition 5 (Algorithms 1 and 3): stop once ``(Ū_k - w_max) / Ū_k
+    >= 1 - ε``, with ``Ū_k`` the k-th largest upper bound and ``w_max``
+    the largest width in the answer set ``R`` (``2λ + b_max`` for
+    entropy, ``6λ + b'_max`` for MI). ``Ū_k <= 0`` means every remaining
+    score is exactly zero, so any k attributes do."""
+
+    k: int
+    epsilon: float
+    prune: bool = True
+
+    def _ranked(self, live: Sequence[str], intervals: Intervals) -> list[str]:
+        by_upper = sorted(live, key=lambda a: intervals[a].upper, reverse=True)
+        return by_upper[: min(self.k, len(live))]
+
+    def stopped(self, live: Sequence[str], intervals: Intervals, final: bool) -> bool:
+        answer = [intervals[a] for a in self._ranked(live, intervals)]
+        upper_k = answer[-1].upper
+        width_max = max(iv.width for iv in answer)
+        return upper_k <= 0.0 or (upper_k - width_max) / upper_k >= 1.0 - self.epsilon
+
+
+@dataclass(frozen=True)
+class ExactTopK(_TopKRule):
+    """EntropyRank [32]: rank by *lower* bound and stop once the k-th
+    largest lower bound is at least the (k+1)-th largest upper bound —
+    the answer is then the exact top-k — or at ``M = N``."""
+
+    k: int
+    prune: bool = True
+    epsilon = 0.0
+
+    def _ranked(self, live: Sequence[str], intervals: Intervals) -> list[str]:
+        by_lower = sorted(live, key=lambda a: intervals[a].lower, reverse=True)
+        return by_lower[: min(self.k, len(live))]
+
+    def stopped(self, live: Sequence[str], intervals: Intervals, final: bool) -> bool:
+        if final or len(live) <= self.k:
+            return True
+        uppers = sorted((intervals[a].upper for a in live), reverse=True)
+        return intervals[self._ranked(live, intervals)[-1]].lower >= uppers[self.k]
+
+    def _guarantee(self, answer: list[Interval], reason: str) -> GuaranteeStatus | None:
+        # Truncated, the ranking is still a valid best-effort answer.
+        return None if reason == "converged" else super()._guarantee(answer, reason)
+
+
+class _FilterRule(StoppingRule[FilterResult]):
+    """Filter rules: stop once nothing is undecided; nothing is pruned."""
+
+    kind = "filter"
+    k = None
+    threshold: float
+
+    def stopped(self, live: Sequence[str], intervals: Intervals, final: bool) -> bool:
+        return not live
+
+    def _guarantee(
+        self, undecided: tuple[str, ...], intervals: Intervals, reason: str
+    ) -> GuaranteeStatus | None:
+        achieved = self.epsilon
+        if undecided and self.threshold > 0.0:
+            # The smallest ε' whose width rule (width < 2ε'η) would have
+            # decided every remaining attribute at its final interval.
+            worst = max(intervals[a].width for a in undecided)
+            achieved = max(self.epsilon, worst / (2.0 * self.threshold))
+        elif undecided:  # pragma: no cover - η = 0 decides everything at once
+            achieved = float("inf")
+        return GuaranteeStatus(
+            guarantee_met=reason == "converged",
+            stopping_reason=reason,
+            requested_epsilon=self.epsilon,
+            achieved_epsilon=achieved,
+            undecided=undecided,
+        )
+
+    def conclude(
+        self, live: Sequence[str], intervals: Intervals, included: list[str],
+        retired: dict[str, AttributeEstimate], reason: str, stats: RunStats,
+        target: str | None,
+    ) -> FilterResult:
+        # Only a truncated run leaves attributes undecided (at M = N every
+        # width is 0): resolve them best-effort by midpoint, keeping the
+        # still valid current interval.
+        answer = list(included)
+        for attribute in live:
+            iv = intervals[attribute]
+            if iv.midpoint >= self.threshold:
+                answer.append(attribute)
+            retired[attribute] = _estimate_from_interval(
+                attribute, iv, stats.final_sample_size
+            )
+        answer.sort(key=lambda a: retired[a].estimate, reverse=True)
+        return FilterResult(
+            attributes=answer,
+            estimates=retired,
+            stats=stats,
+            threshold=self.threshold,
+            target=target,
+            guarantee=self._guarantee(tuple(live), intervals, reason),
+        )
+
+
+@dataclass(frozen=True)
+class SwopeFilter(_FilterRule):
+    """Definition 6 (Algorithms 2 and 4). Each undecided attribute, in the
+    paper's order: (1) width ``< 2εη`` decides by midpoint ``>= η``;
+    (2) else lower ``>= (1 - ε)η`` includes; (3) else upper
+    ``< (1 + ε)η`` excludes."""
+
+    threshold: float
+    epsilon: float
+
+    def retire(
+        self, live: Sequence[str], intervals: Intervals, final: bool
+    ) -> list[tuple[str, bool]]:
+        eta, eps = self.threshold, self.epsilon
+        decided: list[tuple[str, bool]] = []
+        for attribute in live:
+            iv = intervals[attribute]
+            if iv.width < 2.0 * eps * eta:
+                decided.append((attribute, iv.midpoint >= eta))
+            elif iv.lower >= (1.0 - eps) * eta:
+                decided.append((attribute, True))
+            elif iv.upper < (1.0 + eps) * eta:
+                decided.append((attribute, False))
+        return decided
+
+
+@dataclass(frozen=True)
+class ExactFilter(_FilterRule):
+    """EntropyFilter [32]: include once ``lower > η``, exclude once
+    ``upper < η``. A score equal to ``η`` satisfies neither, so at
+    ``M = N`` (exact bounds) the rest are decided by ``estimate >= η`` —
+    the exact answer's closed threshold."""
+
+    threshold: float
+    epsilon = 0.0
+
+    def retire(
+        self, live: Sequence[str], intervals: Intervals, final: bool
+    ) -> list[tuple[str, bool]]:
+        eta = self.threshold
+        decided: list[tuple[str, bool]] = []
+        for attribute in live:
+            iv = intervals[attribute]
+            if iv.lower > eta:
+                decided.append((attribute, True))
+            elif iv.upper < eta:
+                decided.append((attribute, False))
+            elif final:
+                decided.append((attribute, iv.estimate >= eta))
+        return decided
+
+    def _guarantee(
+        self, undecided: tuple[str, ...], intervals: Intervals, reason: str
+    ) -> GuaranteeStatus | None:
+        if reason == "converged":
+            return None  # exactness needs no certificate
+        return super()._guarantee(undecided, intervals, reason)
+
+
+#: What a converged exact rule reports to the trace and the metrics.
+_EXACT = GuaranteeStatus(
+    guarantee_met=True,
+    stopping_reason="converged",
+    requested_epsilon=0.0,
+    achieved_epsilon=0.0,
+)
+
+_QUERY_NOUNS = {"top_k": "top-k", "filter": "filtering"}
+
+
+# ----------------------------------------------------------------------
+# The adaptive loop
+# ----------------------------------------------------------------------
+def run_adaptive(
+    rule: StoppingRule[_R],
     provider: ScoreProvider,
-    sampler: PrefixSampler,
-    candidates: list[str],
-    k: int,
-    epsilon: float,
-    schedule: SampleSchedule,
+    sampler: _Meter,
+    candidates: Sequence[str],
+    schedule: _Schedule,
     *,
-    prune: bool = True,
     target: str | None = None,
-    trace: TraceTarget | None = None,
+    trace: TraceSink | None = None,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
     metrics: MetricsRegistry | None = None,
     checkpoint: CheckpointHook | None = None,
     resume_state: LoopCheckpoint | None = None,
-) -> TopKResult:
-    """Generic SWOPE approximate top-k loop (Algorithms 1 and 3).
+) -> _R:
+    """Run one adaptive query to its stopping ``rule``.
+
+    Each iteration computes the live attributes' intervals at the next
+    schedule size, lets the rule retire attributes, tests the rule, and
+    — unless it is satisfied, the schedule is exhausted, or the budget /
+    cancellation checkpoint fires — lets the rule prune before growing
+    the sample.
 
     Parameters
     ----------
+    rule:
+        The stopping rule: :class:`SwopeTopK`, :class:`SwopeFilter`,
+        :class:`ExactTopK`, or :class:`ExactFilter`.
     provider:
         Score implementation (entropy or MI).
     sampler:
@@ -597,15 +813,8 @@ def adaptive_top_k(
     candidates:
         Candidate attribute names (for MI: all attributes except the
         target).
-    k:
-        Number of attributes to return; clamped to ``len(candidates)``.
-    epsilon:
-        Relative-error parameter of Definition 5.
     schedule:
         Sample-size growth schedule.
-    prune:
-        Apply the candidate-pruning step (Algorithm 1, lines 15–17). The
-        ablation benches switch this off.
     target:
         Recorded on the result for MI queries.
     budget:
@@ -622,12 +831,12 @@ def adaptive_top_k(
         best-effort result as ``.partial``) instead of returning a
         degraded answer.
     trace:
-        A :class:`QueryTrace` (in-process per-iteration history, the
-        legacy shape) or any :class:`~repro.obs.sinks.TraceSink`, which
-        receives the structured event stream (``query_start``,
-        ``iteration``, ``prune``, ``budget_degradation``, ``query_end``)
-        — including for degraded and strict-raised runs. ``None`` or a
-        disabled sink costs nothing.
+        Any :class:`~repro.obs.sinks.TraceSink` (a :class:`QueryTrace`
+        keeps just the iterations), which receives the structured event
+        stream (``query_start``, ``iteration``, ``prune``,
+        ``budget_degradation``, ``query_end``) — including for degraded
+        and strict-raised runs. ``None`` or a disabled sink costs
+        nothing.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; the run's
         accounting feeds the standard instruments via
@@ -642,179 +851,190 @@ def adaptive_top_k(
         the loop skips the already-completed iterations (their counters
         live in the shared sampler) and emits no ``query_start`` event —
         the interrupted run already emitted it.
-
-    Notes
-    -----
-    The stopping rule at each iteration is
-    ``(Ū_k - w_max) / Ū_k >= 1 - ε`` where ``Ū_k`` is the k-th largest
-    upper bound over the candidates and ``w_max`` the largest interval
-    width within the current answer set ``R`` — equal to ``2λ + b_max``
-    for entropy and ``6λ + b'_max`` for MI. A non-positive ``Ū_k`` means
-    every remaining score is exactly zero, so any k attributes satisfy
-    Definition 5 and the loop stops.
     """
-    epsilon = validate_epsilon(epsilon)
-    k = validate_k(k)
     if not candidates:
-        raise ParameterError("top-k query needs at least one candidate attribute")
-    k_effective = min(k, len(candidates))
-    resume_state = _resume_state_for(resume_state, "top_k", schedule)
-    ctx = _LoopContext(
-        sampler,
-        provider,
-        RunStats(),
-        time.perf_counter(),
-        sampler.cells_scanned,
-        provider.timings.snapshot(),
-        sampler.cells_saved,
-    )
+        raise ParameterError(
+            f"{_QUERY_NOUNS[rule.kind]} query needs at least one candidate"
+            " attribute"
+        )
+    resume_state = _resume_state_for(resume_state, rule.kind, schedule)
+    started = time.perf_counter()
+    cells_at_start, saved_at_start = sampler.cells_scanned, sampler.cells_saved
+    counting_at_start, bounds_at_start = provider.timings.snapshot()
+    stats = RunStats()
+    score = "entropy" if provider.bounds_per_attribute == 1 else "mutual_information"
     tracer = _TraceState(trace)
     if tracer.active and resume_state is None:
         tracer.emit(
             QueryStartEvent(
-                kind="top_k",
-                score=_score_name(provider),
+                kind=rule.kind,
+                score=score,
                 candidates=tuple(candidates),
                 population_size=sampler.num_rows,
-                epsilon=epsilon,
-                k=k,
+                epsilon=rule.epsilon,
+                k=rule.k,
+                threshold=rule.threshold,
                 target=target,
                 schedule=tuple(schedule.sizes),
             )
         )
-    live = list(candidates)
-    iterations = 0
-    start_index = 0
-    if resume_state is not None:
-        live = list(resume_state.live)
-        iterations = resume_state.iterations
-        start_index = resume_state.next_index
-        ctx.stats.candidates_pruned = resume_state.pruned
-    answer: list[tuple[str, Interval]] = []
-    stop_reason: str | None = None
+    state = resume_state or LoopCheckpoint(rule.kind, 0, 0, tuple(candidates))
+    live, included = list(state.live), list(state.included)
+    retired = {e.attribute: e for e in state.estimates}
+    iterations, start_index = state.iterations, state.next_index
+    stats.candidates_pruned = state.pruned
+    last_index = len(schedule.sizes) - 1
+    reason = "converged"
     sample_size = schedule.sizes[start_index]
+    intervals: Intervals = {}
     for index in range(start_index, len(schedule.sizes)):
         sample_size = schedule.sizes[index]
+        final = index == last_index
         iterations += 1
         intervals = provider.intervals(live, sample_size)
-        by_upper = sorted(live, key=lambda a: intervals[a].upper, reverse=True)
-        answer = [(a, intervals[a]) for a in by_upper[:k_effective]]
-        upper_k = answer[-1][1].upper
-        width_max = max(iv.width for _, iv in answer)
-        stopped = upper_k <= 0.0 or (
-            (upper_k - width_max) / upper_k >= 1.0 - epsilon
-        )
-        if tracer.legacy is not None:
-            tracer.legacy.iterations.append(
-                IterationTrace(
-                    sample_size=sample_size,
-                    candidates=list(live),
-                    bounds={a: (iv.lower, iv.upper) for a, iv in intervals.items()},
-                    stopped=stopped,
-                )
+        decided = rule.retire(live, intervals, final)
+        for attribute, include in decided:
+            if include:
+                included.append(attribute)
+            retired[attribute] = _estimate_from_interval(
+                attribute, intervals[attribute], sample_size
             )
+            sampler.release(attribute)
+        alive = live
+        if decided:
+            done = {attribute for attribute, _ in decided}
+            live = [a for a in live if a not in done]
+        stopped = rule.stopped(live, intervals, final)
         if tracer.active:
             tracer.emit(
                 IterationEvent(
                     index=index,
                     sample_size=sample_size,
-                    candidates=tuple(live),
+                    candidates=tuple(alive),
                     bounds={a: (iv.lower, iv.upper) for a, iv in intervals.items()},
+                    decided=tuple(attribute for attribute, _ in decided),
                     stopped=stopped,
                 )
             )
-        if stopped:
-            stop_reason = "converged"
+        if stopped or final:
             break
-        if index == len(schedule.sizes) - 1:
-            # M reached N: λ = b = 0 so the condition above must have fired
-            # unless upper_k <= 0, which also fired. Defensive only.
-            break  # pragma: no cover
-        stop_reason = ctx.interruption(budget, cancellation, schedule.sizes[index + 1])
-        if stop_reason is not None:
+        # Between one sample size and the next, so every query holds
+        # valid intervals to answer from. The cell budget is this
+        # query's own reads, so a shared sampler is budgeted per query.
+        interrupted = check_interruption(
+            budget,
+            cancellation,
+            elapsed_seconds=time.perf_counter() - started,
+            cells_used=sampler.cells_scanned - cells_at_start,
+            next_sample_size=schedule.sizes[index + 1],
+        )
+        if interrupted is not None:
+            reason = interrupted
             if tracer.active:
                 tracer.emit(
-                    BudgetDegradationEvent(
-                        sample_size=sample_size, reason=stop_reason
-                    )
+                    BudgetDegradationEvent(sample_size=sample_size, reason=reason)
                 )
             break
-        if prune and len(live) > k_effective:
-            lower_k = _kth_largest([intervals[a].lower for a in live], k_effective)
-            survivors = [a for a in live if intervals[a].upper >= lower_k]
-            gone = [a for a in live if intervals[a].upper < lower_k]
+        gone = rule.pruned(live, intervals)
+        if gone:
             for attribute in gone:
-                ctx.stats.candidates_pruned += 1
+                stats.candidates_pruned += 1
                 sampler.release(attribute)
-            if gone and tracer.active:
+            dropped = set(gone)
+            live = [a for a in live if a not in dropped]
+            if tracer.active:
                 tracer.emit(
                     PruneEvent(
                         sample_size=sample_size,
                         pruned=tuple(gone),
-                        survivors=len(survivors),
+                        survivors=len(live),
                     )
                 )
-            live = survivors
         if checkpoint is not None:
             checkpoint(
                 LoopCheckpoint(
-                    kind="top_k",
+                    kind=rule.kind,
                     next_index=index + 1,
                     iterations=iterations,
                     live=tuple(live),
-                    pruned=ctx.stats.candidates_pruned,
+                    pruned=stats.candidates_pruned,
+                    included=tuple(included),
+                    estimates=tuple(retired.values()),
                 )
             )
-    stats = ctx.finish(iterations, sample_size)
-    estimates = [
-        _estimate_from_interval(a, iv, sample_size) for a, iv in answer
-    ]
-    reason = stop_reason if stop_reason is not None else "converged"
-    # Back-solve the achieved ε from the stopping quantity: the answer
-    # satisfies Definition 5 with ε' = w_max / Ū_k (0 when every
-    # remaining score is exactly zero).
-    upper_k = answer[-1][1].upper
-    width_max = max(iv.width for _, iv in answer)
-    achieved = 0.0 if upper_k <= 0.0 else width_max / upper_k
-    guarantee = GuaranteeStatus(
-        guarantee_met=reason == "converged",
-        stopping_reason=reason,
-        requested_epsilon=epsilon,
-        achieved_epsilon=achieved,
-    )
-    result = TopKResult(
-        attributes=[a for a, _ in answer],
-        estimates=estimates,
-        stats=stats,
-        k=k,
-        target=target,
-        guarantee=guarantee,
-    )
+    stats.iterations = iterations
+    stats.final_sample_size = sample_size
+    stats.population_size = sampler.num_rows
+    stats.cells_scanned = sampler.cells_scanned
+    # Unlike the cumulative cells meter, saved cells are this query's own
+    # delta — that is what cache metrics sum up.
+    stats.cells_saved = sampler.cells_saved - saved_at_start
+    stats.wall_seconds = time.perf_counter() - started
+    stats.counting_seconds = provider.timings.counting_seconds - counting_at_start
+    stats.bounds_seconds = provider.timings.bounds_seconds - bounds_at_start
+    result = rule.conclude(live, intervals, included, retired, reason, stats, target)
+    status = result.guarantee if result.guarantee is not None else _EXACT
     if tracer.active:
         tracer.emit(
             QueryEndEvent(
-                stopping_reason=reason,
-                guarantee_met=guarantee.guarantee_met,
-                requested_epsilon=epsilon,
-                achieved_epsilon=achieved,
+                stopping_reason=status.stopping_reason,
+                guarantee_met=status.guarantee_met,
+                requested_epsilon=status.requested_epsilon,
+                achieved_epsilon=status.achieved_epsilon,
                 iterations=iterations,
                 final_sample_size=sample_size,
-                cells_scanned=stats.cells_scanned,
-                answer=tuple(a for a, _ in answer),
+                cells_scanned=sampler.cells_scanned,
+                answer=tuple(result.attributes),
+                undecided=status.undecided,
             )
         )
     stats.trace_event_count = tracer.events
     if metrics is not None:
         record_query(
             metrics,
-            kind="top_k",
-            score=_score_name(provider),
+            kind=rule.kind,
+            score=score,
             stats=stats,
-            guarantee=guarantee,
+            guarantee=status,
         )
-    if strict and not guarantee.guarantee_met:
+    if strict and not status.guarantee_met:
         raise_interrupted(reason, result)
     return result
+
+
+def adaptive_top_k(
+    provider: ScoreProvider,
+    sampler: PrefixSampler,
+    candidates: list[str],
+    k: int,
+    epsilon: float,
+    schedule: SampleSchedule,
+    *,
+    prune: bool = True,
+    target: str | None = None,
+    trace: TraceSink | None = None,
+    budget: QueryBudget | None = None,
+    cancellation: CancellationToken | None = None,
+    strict: bool = False,
+    metrics: MetricsRegistry | None = None,
+    checkpoint: CheckpointHook | None = None,
+    resume_state: LoopCheckpoint | None = None,
+) -> TopKResult:
+    """SWOPE approximate top-k (Algorithms 1 and 3, :class:`SwopeTopK`).
+
+    ``k`` is clamped to ``len(candidates)``; ``epsilon`` is the
+    relative-error parameter of Definition 5; ``prune`` applies the
+    candidate-pruning step (the ablation benches switch it off). The
+    other arguments are :func:`run_adaptive`'s.
+    """
+    epsilon = validate_epsilon(epsilon)
+    rule = SwopeTopK(validate_k(k), epsilon, prune)
+    return run_adaptive(
+        rule, provider, sampler, candidates, schedule,
+        target=target, trace=trace, budget=budget, cancellation=cancellation,
+        strict=strict, metrics=metrics, checkpoint=checkpoint,
+        resume_state=resume_state,
+    )
 
 
 def adaptive_filter(
@@ -826,7 +1046,7 @@ def adaptive_filter(
     schedule: SampleSchedule,
     *,
     target: str | None = None,
-    trace: TraceTarget | None = None,
+    trace: TraceSink | None = None,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
@@ -834,209 +1054,20 @@ def adaptive_filter(
     checkpoint: CheckpointHook | None = None,
     resume_state: LoopCheckpoint | None = None,
 ) -> FilterResult:
-    """Generic SWOPE approximate filtering loop (Algorithms 2 and 4).
+    """SWOPE approximate filtering (Algorithms 2 and 4, :class:`SwopeFilter`).
 
-    For each undecided attribute at each sample size, in the paper's order:
-
-    1. if the interval width ``< 2εη``, decide by comparing the interval
-       midpoint against ``η`` and retire the attribute;
-    2. else if the lower bound ``>= (1 - ε)η``, include and retire;
-    3. else if the upper bound ``< (1 + ε)η``, exclude and retire.
-
-    The loop ends when no attribute is undecided or the sample is the whole
-    dataset (at which point widths are zero and rule 1 or 2 retires
-    everything). ``budget``/``cancellation``/``strict``/``trace``/
-    ``metrics``/``checkpoint``/``resume_state`` behave as in
-    :func:`adaptive_top_k`; a truncated run resolves the still-undecided
-    attributes best-effort by interval midpoint and lists them in
-    ``result.guarantee.undecided``. A filter checkpoint additionally
-    carries the already-included attributes and retired estimates, in
-    decision order, so a resumed run's final ordering is bit-identical.
+    A truncated run resolves the still-undecided attributes best-effort
+    by interval midpoint and lists them in ``result.guarantee.undecided``;
+    a filter checkpoint carries the already-included attributes and
+    retired estimates, in decision order, so a resumed run's final
+    ordering is bit-identical. The other arguments are
+    :func:`run_adaptive`'s.
     """
     epsilon = validate_epsilon(epsilon)
-    threshold = validate_threshold(threshold)
-    if not candidates:
-        raise ParameterError("filtering query needs at least one candidate attribute")
-    resume_state = _resume_state_for(resume_state, "filter", schedule)
-    ctx = _LoopContext(
-        sampler,
-        provider,
-        RunStats(),
-        time.perf_counter(),
-        sampler.cells_scanned,
-        provider.timings.snapshot(),
-        sampler.cells_saved,
+    rule = SwopeFilter(validate_threshold(threshold), epsilon)
+    return run_adaptive(
+        rule, provider, sampler, candidates, schedule,
+        target=target, trace=trace, budget=budget, cancellation=cancellation,
+        strict=strict, metrics=metrics, checkpoint=checkpoint,
+        resume_state=resume_state,
     )
-    tracer = _TraceState(trace)
-    if tracer.active and resume_state is None:
-        tracer.emit(
-            QueryStartEvent(
-                kind="filter",
-                score=_score_name(provider),
-                candidates=tuple(candidates),
-                population_size=sampler.num_rows,
-                epsilon=epsilon,
-                threshold=threshold,
-                target=target,
-                schedule=tuple(schedule.sizes),
-            )
-        )
-    undecided = list(candidates)
-    included: list[str] = []
-    estimates: dict[str, AttributeEstimate] = {}
-    last_intervals: dict[str, Interval] = {}
-    iterations = 0
-    start_index = 0
-    if resume_state is not None:
-        undecided = list(resume_state.live)
-        included = list(resume_state.included)
-        estimates = {e.attribute: e for e in resume_state.estimates}
-        iterations = resume_state.iterations
-        start_index = resume_state.next_index
-    stop_reason: str | None = None
-    sample_size = schedule.sizes[start_index]
-    for index in range(start_index, len(schedule.sizes)):
-        sample_size = schedule.sizes[index]
-        iterations += 1
-        still: list[str] = []
-        decided_now: list[str] = []
-        snapshot = (
-            IterationTrace(
-                sample_size=sample_size,
-                candidates=list(undecided),
-                bounds={},
-            )
-            if tracer.legacy is not None
-            else None
-        )
-        intervals = provider.intervals(undecided, sample_size)
-        for attribute in undecided:
-            iv = intervals[attribute]
-            last_intervals[attribute] = iv
-            if snapshot is not None:
-                snapshot.bounds[attribute] = (iv.lower, iv.upper)
-            decided = True
-            if iv.width < 2.0 * epsilon * threshold:
-                if iv.midpoint >= threshold:
-                    included.append(attribute)
-            elif iv.lower >= (1.0 - epsilon) * threshold:
-                included.append(attribute)
-            elif iv.upper < (1.0 + epsilon) * threshold:
-                pass  # excluded
-            else:
-                decided = False
-                still.append(attribute)
-            if decided:
-                decided_now.append(attribute)
-                estimates[attribute] = _estimate_from_interval(
-                    attribute, iv, sample_size
-                )
-                sampler.release(attribute)
-        undecided = still
-        if snapshot is not None and tracer.legacy is not None:
-            snapshot.decided.extend(decided_now)
-            snapshot.stopped = not undecided
-            tracer.legacy.iterations.append(snapshot)
-        if tracer.active:
-            tracer.emit(
-                IterationEvent(
-                    index=index,
-                    sample_size=sample_size,
-                    candidates=tuple(intervals),
-                    bounds={a: (iv.lower, iv.upper) for a, iv in intervals.items()},
-                    decided=tuple(decided_now),
-                    stopped=not undecided,
-                )
-            )
-        if not undecided:
-            stop_reason = "converged"
-            break
-        if index < len(schedule.sizes) - 1:
-            stop_reason = ctx.interruption(
-                budget, cancellation, schedule.sizes[index + 1]
-            )
-            if stop_reason is not None:
-                if tracer.active:
-                    tracer.emit(
-                        BudgetDegradationEvent(
-                            sample_size=sample_size, reason=stop_reason
-                        )
-                    )
-                break
-            if checkpoint is not None:
-                checkpoint(
-                    LoopCheckpoint(
-                        kind="filter",
-                        next_index=index + 1,
-                        iterations=iterations,
-                        live=tuple(undecided),
-                        included=tuple(included),
-                        estimates=tuple(estimates[a] for a in estimates),
-                    )
-                )
-    if stop_reason is None:
-        # At M = N all widths are 0, so rule 1 (η > 0) or rule 2 (η = 0)
-        # retires every attribute; reaching here with undecided attributes
-        # would indicate a bounds bug.
-        assert not undecided, "filtering loop ended with undecided attributes"
-        stop_reason = "converged"
-    undecided_at_stop = tuple(undecided)
-    for attribute in undecided_at_stop:
-        # Best-effort resolution of the attributes the budget cut off:
-        # decide by midpoint, keep the (still valid) current interval.
-        iv = last_intervals[attribute]
-        if iv.midpoint >= threshold:
-            included.append(attribute)
-        estimates[attribute] = _estimate_from_interval(attribute, iv, sample_size)
-    achieved = epsilon
-    if undecided_at_stop:
-        if threshold > 0.0:
-            # Smallest ε' whose width rule (width < 2ε'η) would have
-            # decided every remaining attribute at the final intervals.
-            worst = max(last_intervals[a].width for a in undecided_at_stop)
-            achieved = max(epsilon, worst / (2.0 * threshold))
-        else:  # pragma: no cover - η = 0 decides every attribute instantly
-            achieved = float("inf")
-    guarantee = GuaranteeStatus(
-        guarantee_met=stop_reason == "converged",
-        stopping_reason=stop_reason,
-        requested_epsilon=epsilon,
-        achieved_epsilon=achieved,
-        undecided=undecided_at_stop,
-    )
-    included.sort(key=lambda a: estimates[a].estimate, reverse=True)
-    stats = ctx.finish(iterations, sample_size)
-    result = FilterResult(
-        attributes=included,
-        estimates=estimates,
-        stats=stats,
-        threshold=threshold,
-        target=target,
-        guarantee=guarantee,
-    )
-    if tracer.active:
-        tracer.emit(
-            QueryEndEvent(
-                stopping_reason=stop_reason,
-                guarantee_met=guarantee.guarantee_met,
-                requested_epsilon=epsilon,
-                achieved_epsilon=achieved,
-                iterations=iterations,
-                final_sample_size=sample_size,
-                cells_scanned=stats.cells_scanned,
-                answer=tuple(included),
-                undecided=undecided_at_stop,
-            )
-        )
-    stats.trace_event_count = tracer.events
-    if metrics is not None:
-        record_query(
-            metrics,
-            kind="filter",
-            score=_score_name(provider),
-            stats=stats,
-            guarantee=guarantee,
-        )
-    if strict and not guarantee.guarantee_met:
-        raise_interrupted(stop_reason, result)
-    return result

@@ -55,7 +55,7 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Union
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -67,7 +67,6 @@ from repro.core.engine import (
     LoopCheckpoint,
     MutualInformationScoreProvider,
     ScoreProvider,
-    TraceTarget,
     adaptive_filter,
     adaptive_top_k,
     default_failure_probability,
@@ -120,10 +119,12 @@ __all__ = [
     "PlanExecutor",
     "PlanResult",
     "PlanStats",
+    "PreparedQuery",
     "QueryPlan",
     "QuerySpec",
     "load_plan",
     "plan_queries",
+    "prepare_query",
     "run_query_spec",
 ]
 
@@ -424,8 +425,8 @@ class QueryPlan:
     #: Cost-model cell predictions aligned with ``specs`` (empty for
     #: submission order).
     estimated_cells: tuple[int, ...] = ()
-    #: Label of the predictor that ordered the plan (``"analytic"`` /
-    #: ``"fitted"`` / ``"none"``).
+    #: Label of the predictor that ordered the plan (``"analytic"``, or
+    #: ``"none"`` for submission order).
     cost_model: str = "none"
 
     @property
@@ -487,7 +488,6 @@ def plan_queries(
     specs: Sequence[QuerySpec],
     *,
     order: str = "cost",
-    cost_model: CostModel | None = None,
     failure_probability: float | None = None,
 ) -> QueryPlan:
     """Validate, normalise, dedup, and *schedule* ``specs`` into a plan.
@@ -506,14 +506,13 @@ def plan_queries(
     candidates.
 
     Scheduling: with ``order="cost"`` (the default) the batch runs
-    cheapest-predicted-first under ``cost_model`` (default: the analytic
+    cheapest-predicted-first under the analytic
     :class:`~repro.core.cost.CostModel`, a pure function of the store
     schema and query shapes — deterministic across sessions, which the
-    cache's bit-identity gate relies on). Cheap queries then pay the
+    cache's bit-identity gate relies on. Cheap queries then pay the
     early prefix sizes and expensive queries join the scan at the
-    ratcheted frontier, maximising counter reuse. Ties (and the fitted
-    model's equal predictions) break by submission index, so the
-    schedule is deterministic for a fixed plan + model.
+    ratcheted frontier, maximising counter reuse. Ties break by
+    submission index, so the schedule is deterministic for a fixed plan.
     ``order="submission"`` keeps the caller's order.
     ``failure_probability`` only feeds the cost predictions; pass the
     executor's value when it differs from the paper default ``1/N``.
@@ -586,7 +585,7 @@ def plan_queries(
     model_label = "none"
     scheduled = normalized
     if order == "cost":
-        model = cost_model if cost_model is not None else CostModel()
+        model = CostModel()
         predictions: list[int] = []
         for resolved in normalized:
             candidates = resolved.attributes or ()
@@ -614,7 +613,7 @@ def plan_queries(
         )
         scheduled = [normalized[i] for i in ranked]
         estimated = tuple(predictions[i] for i in ranked)
-        model_label = model.label
+        model_label = "analytic"
     # Count-group extraction follows the *scheduled* order, so the
     # executor's batched passes touch counters in execution order.
     marginals: list[str] = []
@@ -653,7 +652,7 @@ def plan_queries(
 class _RecordingProvider:
     """Wrap a :class:`ScoreProvider`, recording per-iteration bounds.
 
-    The adaptive loops call ``intervals()`` exactly once per iteration
+    The adaptive loop calls ``intervals()`` exactly once per iteration
     with the live candidate set; the recorder keeps
     ``(sample_size, {attribute: (lower, upper, width, midpoint)})`` in
     call order — precisely the history :mod:`repro.cache.semantic`
@@ -669,9 +668,6 @@ class _RecordingProvider:
         self.history: list[
             tuple[int, dict[str, tuple[float, float, float, float]]]
         ] = []
-
-    def interval(self, attribute: str, sample_size: int) -> Any:
-        return self._inner.interval(attribute, sample_size)
 
     def intervals(
         self, attributes: Sequence[str], sample_size: int
@@ -722,6 +718,67 @@ def _cache_partition(
     )
 
 
+class PreparedQuery(NamedTuple):
+    """Everything an adaptive loop needs besides its stopping rule."""
+
+    names: list[str]
+    failure_probability: float
+    sampler: PrefixSampler
+    schedule: SampleSchedule
+    provider: ScoreProvider
+
+
+def prepare_query(
+    store: ColumnSource,
+    spec: QuerySpec,
+    *,
+    failure_probability: float | None = None,
+    seed: int | np.random.Generator | None = None,
+    schedule: SampleSchedule | None = None,
+    sampler: PrefixSampler | None = None,
+    backend: str | CountingBackend | None = None,
+) -> PreparedQuery:
+    """The set-up :func:`run_query_spec` and the exact baselines share.
+
+    Resolves the candidates (with the legacy entry points' errors),
+    defaults ``p_f`` to the paper's ``1/N``, and builds the prefix
+    sampler, the sample schedule, and the score provider holding the
+    per-bound failure split.
+    """
+    names = _resolved_candidates(store, spec)
+    if failure_probability is None:
+        failure_probability = default_failure_probability(store.num_rows)
+    if sampler is None:
+        sampler = PrefixSampler(store, seed=seed, backend=backend)
+    elif backend is not None:
+        raise ParameterError(
+            "pass either sampler= or backend=; a pre-built sampler already"
+            " owns its counting backend"
+        )
+    target = spec.target
+    mutual = spec.score == "mutual_information"
+    if schedule is None:
+        schedule_names = [target, *names] if mutual and target is not None else names
+        schedule = SampleSchedule.for_query(
+            store.num_rows,
+            len(names) + 1 if mutual else len(names),
+            failure_probability,
+            max(store.support_size(a) for a in schedule_names),
+        )
+    provider: ScoreProvider
+    if mutual:
+        if target is None:  # pragma: no cover - QuerySpec.__post_init__ guards
+            raise PlanError("a mutual_information spec needs a target attribute")
+        per_bound = schedule.per_round_failure(
+            failure_probability, len(names), bounds_per_attribute=3
+        )
+        provider = MutualInformationScoreProvider(sampler, target, per_bound)
+    else:
+        per_bound = schedule.per_round_failure(failure_probability, len(names))
+        provider = EntropyScoreProvider(sampler, per_bound)
+    return PreparedQuery(names, failure_probability, sampler, schedule, provider)
+
+
 def run_query_spec(
     store: ColumnSource,
     spec: QuerySpec,
@@ -731,7 +788,7 @@ def run_query_spec(
     schedule: SampleSchedule | None = None,
     sampler: PrefixSampler | None = None,
     backend: str | CountingBackend | None = None,
-    trace: TraceTarget | None = None,
+    trace: TraceSink | None = None,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
@@ -761,29 +818,19 @@ def run_query_spec(
     budgeted run's degradation behaviour is bit-identical with or
     without a cache.
     """
-    names = _resolved_candidates(store, spec)
-    if failure_probability is None:
-        failure_probability = default_failure_probability(store.num_rows)
-    if sampler is None:
-        sampler = PrefixSampler(store, seed=seed, backend=backend)
-    elif backend is not None:
-        raise ParameterError(
-            "pass either sampler= or backend=; a pre-built sampler already"
-            " owns its counting backend"
-        )
+    names, failure_probability, sampler, schedule, provider = prepare_query(
+        store,
+        spec,
+        failure_probability=failure_probability,
+        seed=seed,
+        schedule=schedule,
+        sampler=sampler,
+        backend=backend,
+    )
     partition, owned_cache = _cache_partition(cache, store, sampler)
     if partition is not None:
         sampler.attach_counter_cache(partition)
     target = spec.target
-    mutual = spec.score == "mutual_information"
-    if schedule is None:
-        schedule_names = [target, *names] if mutual and target is not None else names
-        schedule = SampleSchedule.for_query(
-            store.num_rows,
-            len(names) + 1 if mutual else len(names),
-            failure_probability,
-            max(store.support_size(a) for a in schedule_names),
-        )
     epsilon = (
         spec.epsilon
         if spec.epsilon is not None
@@ -794,7 +841,6 @@ def run_query_spec(
         if spec.kind == "filter"
         else float(spec.k or 0)
     )
-    sink = _plan_sink(trace)
     name = spec.name if spec.name is not None else spec.describe()
     if (
         partition is not None
@@ -817,7 +863,7 @@ def run_query_spec(
         if served is not None:
             result: QueryResult = served.result
             _emit(
-                sink,
+                trace,
                 CacheHitEvent(
                     name=name,
                     kind=spec.kind,
@@ -828,7 +874,7 @@ def run_query_spec(
                 ),
             )
             _emit(
-                sink,
+                trace,
                 AnswerReusedEvent(
                     name=name,
                     mode=served.mode,
@@ -851,20 +897,9 @@ def run_query_spec(
             if owned_cache is not None:
                 owned_cache.flush()
             return result
-        _emit(sink, CacheMissEvent(name=name, kind=spec.kind, score=spec.score))
+        _emit(trace, CacheMissEvent(name=name, kind=spec.kind, score=spec.score))
         if metrics is not None:
             record_cache(metrics, hit=False)
-    provider: ScoreProvider
-    if mutual:
-        if target is None:  # pragma: no cover - QuerySpec.__post_init__ guards
-            raise PlanError("a mutual_information spec needs a target attribute")
-        per_bound = schedule.per_round_failure(
-            failure_probability, len(names), bounds_per_attribute=3
-        )
-        provider = MutualInformationScoreProvider(sampler, target, per_bound)
-    else:
-        per_bound = schedule.per_round_failure(failure_probability, len(names))
-        provider = EntropyScoreProvider(sampler, per_bound)
     recorder: _RecordingProvider | None = None
     if partition is not None and resume_state is None:
         recorder = _RecordingProvider(provider)
@@ -956,13 +991,6 @@ _UNSET: Any = object()
 def _emit(sink: TraceSink | None, event: TraceEvent) -> None:
     if sink is not None and sink.enabled:
         sink.emit(event)
-
-
-def _plan_sink(trace: TraceTarget | None) -> TraceSink | None:
-    """The plan-event destination: sinks only (QueryTrace is per-query)."""
-    if isinstance(trace, TraceSink):
-        return trace
-    return None
 
 
 def _retired_event(
@@ -1241,7 +1269,7 @@ class PlanExecutor:
         budget: QueryBudget | None = _UNSET,
         cancellation: CancellationToken | None = None,
         strict: bool = False,
-        trace: TraceTarget | None = _UNSET,
+        trace: TraceSink | None = _UNSET,
         metrics: MetricsRegistry | None = _UNSET,
         backend: str | CountingBackend | None = None,
         checkpoint: CheckpointHook | None = None,
@@ -1344,7 +1372,6 @@ class PlanExecutor:
             trace = self._trace
         if metrics is _UNSET:
             metrics = self._metrics
-        sink = _plan_sink(trace)
         started = time.perf_counter()
         cells_at_start = self._sampler.cells_scanned
         results: dict[str, QueryResult] = {}
@@ -1366,7 +1393,7 @@ class PlanExecutor:
             if metrics is not None:
                 record_resume(metrics, queries_completed=completed)
             _emit(
-                sink,
+                trace,
                 PlanResumedEvent(
                     queries_completed=completed,
                     total_queries=len(plan.specs),
@@ -1392,7 +1419,7 @@ class PlanExecutor:
                     population_size=plan.population_size,
                 )
                 _emit(
-                    sink,
+                    trace,
                     PlanEndEvent(
                         queries_completed=completed,
                         total_queries=len(plan.specs),
@@ -1408,7 +1435,7 @@ class PlanExecutor:
             resume_cells = in_flight["cells_before"]
         else:
             _emit(
-                sink,
+                trace,
                 PlanStartEvent(
                     num_queries=len(plan.specs),
                     queries=plan.names,
@@ -1419,7 +1446,7 @@ class PlanExecutor:
             )
             if plan.order == "cost":
                 _emit(
-                    sink,
+                    trace,
                     ScheduleChosenEvent(
                         order=plan.order,
                         queries=plan.names,
@@ -1445,7 +1472,7 @@ class PlanExecutor:
                     },
                     budget=budget,
                     started=started,
-                    sink=sink,
+                    sink=trace,
                     metrics=metrics,
                 )
         try:
@@ -1470,7 +1497,7 @@ class PlanExecutor:
                         cells_at_start=cells_at_start,
                         budget=budget,
                         started=started,
-                        sink=sink,
+                        sink=trace,
                         metrics=metrics,
                         name=name,
                         index=index,
@@ -1493,14 +1520,14 @@ class PlanExecutor:
                     if isinstance(partial, (TopKResult, FilterResult)):
                         per_query_cells[name] = self._last_cells
                         _emit(
-                            sink,
+                            trace,
                             _retired_event(name, index, partial, self._last_cells),
                         )
                     raise
                 results[name] = result
                 per_query_cells[name] = self._last_cells
                 completed += 1
-                _emit(sink, _retired_event(name, index, result, self._last_cells))
+                _emit(trace, _retired_event(name, index, result, self._last_cells))
                 if self._checkpoint_path is not None:
                     if index + 1 < len(plan.specs):
                         nxt = plan.specs[index + 1]
@@ -1524,7 +1551,7 @@ class PlanExecutor:
                         in_flight=next_in_flight,
                         budget=budget,
                         started=started,
-                        sink=sink,
+                        sink=trace,
                         metrics=metrics,
                     )
         finally:
@@ -1541,7 +1568,7 @@ class PlanExecutor:
                 population_size=plan.population_size,
             )
             _emit(
-                sink,
+                trace,
                 PlanEndEvent(
                     queries_completed=completed,
                     total_queries=len(plan.specs),

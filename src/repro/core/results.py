@@ -152,8 +152,7 @@ class RunStats:
         confidence intervals from the counts. Zero when not reported.
     trace_event_count:
         Number of structured trace events the run emitted to its
-        :class:`~repro.obs.sinks.TraceSink` (0 when tracing was disabled
-        or a legacy :class:`~repro.core.engine.QueryTrace` was used).
+        :class:`~repro.obs.sinks.TraceSink` (0 when tracing was disabled).
     cells_saved:
         Attribute values *not* read because the plan cache supplied them
         (warm-started counters, or a whole served answer). The

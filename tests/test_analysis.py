@@ -395,6 +395,17 @@ class TestSWP011:
         )
         assert codes(check(CORE, text)) == ["SWP011"]
 
+    def test_run_adaptive_is_guarded_outside_adaptive_exact(self):
+        text = (
+            "from repro.core.engine import ExactTopK, run_adaptive\n\n"
+            "def f(provider, sampler, names, schedule):\n"
+            "    rule = ExactTopK(3)\n"
+            "    return run_adaptive(rule, provider, sampler, names, schedule)\n"
+        )
+        assert codes(check("src/repro/baselines/adaptive_exact.py", text)) == []
+        for path in (BASELINES, "src/repro/cache/semantic.py"):
+            assert codes(check(path, text)) == ["SWP011"], path
+
     def test_engine_and_plan_are_exempt(self):
         text = (
             "def adaptive_top_k(*args):\n    return args\n\n"

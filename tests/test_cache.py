@@ -179,7 +179,7 @@ def test_executor_rejects_cache_and_cache_dir(tmp_path: Path) -> None:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["numpy", "threads"])
+@pytest.mark.parametrize("backend", ["numpy", "process"])
 def test_cold_warm_bit_identity(tmp_path: Path, backend: str) -> None:
     store = _store()
     cold_exec = PlanExecutor(

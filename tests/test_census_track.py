@@ -29,6 +29,7 @@ import pytest
 
 from repro.cache import PlanCache, partition_filename
 from repro.core.plan import PlanExecutor
+from repro.data.backends import CountingBackend, ProcessBackend
 from repro.data.filters import partition_by_support
 from repro.durability.checkpoint import store_fingerprint
 from repro.exceptions import ParameterError
@@ -47,7 +48,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 SCALE = 0.01  # ~512-600 rows per dataset: full track in well under a second
 GOLDEN_SEED = 7
 GOLDEN_SCENARIO = "correlated"
-BACKENDS = ("numpy", "threads")
+BACKENDS = ("numpy", "process")
 AUDIT_SEEDS = tuple(range(20))
 
 
@@ -81,8 +82,8 @@ def test_track_is_bit_identical_across_backends() -> None:
         backend: run_census_track(seeds=(3,), scale=SCALE, backend=backend)
         for backend in BACKENDS
     }
-    numpy_run, threads_run = runs["numpy"], runs["threads"]
-    for a, b in zip(numpy_run.outcomes, threads_run.outcomes):
+    numpy_run, process_run = runs["numpy"], runs["process"]
+    for a, b in zip(numpy_run.outcomes, process_run.outcomes):
         assert a.fingerprint == b.fingerprint
         assert a.cells_scanned == b.cells_scanned
         for qa, qb in zip(a.queries, b.queries):
@@ -164,7 +165,7 @@ def test_guarantee_violation_rate_within_failure_budget(backend: str) -> None:
 # ----------------------------------------------------------------------
 # Golden artifacts
 # ----------------------------------------------------------------------
-def _golden_trace_lines(backend: str | None = None) -> list[str]:
+def _golden_trace_lines(backend: str | CountingBackend | None = None) -> list[str]:
     dataset = generate_census(GOLDEN_SCENARIO, seed=GOLDEN_SEED, scale=SCALE)
     kept, _dropped = partition_by_support(dataset.store)
     buffer = io.StringIO()
@@ -195,7 +196,9 @@ def test_census_plan_trace_matches_golden(update_golden: bool) -> None:
 
 
 def test_census_plan_trace_identical_across_backends() -> None:
-    assert _golden_trace_lines("numpy") == _golden_trace_lines("threads")
+    # min_parallel_cells=0 makes every batch take the sharded path.
+    with ProcessBackend(max_workers=2, min_parallel_cells=0) as process:
+        assert _golden_trace_lines("numpy") == _golden_trace_lines(process)
 
 
 def test_census_manifest_matches_golden(update_golden: bool) -> None:

@@ -51,7 +51,7 @@ from repro.exceptions import (
 )
 from repro.testing.chaos import plan_fingerprint, truncate_file
 
-BACKENDS = ["numpy", "threads"]
+BACKENDS = ["numpy", "process"]
 SEED = 7
 
 

@@ -289,7 +289,12 @@ class TestEngineEmission:
         trace = QueryTrace()
         result = swope_top_k_entropy(store, 2, seed=3, trace=trace)
         assert trace.iterations
-        assert result.stats.trace_event_count == 0
+        # QueryTrace is a sink: it is delivered the full event stream
+        # (and keeps only the iterations).
+        sink = InMemorySink()
+        swope_top_k_entropy(store, 2, seed=3, trace=sink)
+        assert result.stats.trace_event_count == len(sink)
+        assert len(trace.iterations) == len(sink.of_kind("iteration"))
 
     def test_metrics_without_trace(self, store):
         registry = MetricsRegistry()

@@ -49,7 +49,7 @@ from repro.exceptions import (
 from repro.obs import InMemorySink, MetricsRegistry
 
 SEED = 7
-BACKENDS = ["numpy", "threads"]
+BACKENDS = ["numpy", "process"]
 
 
 @pytest.fixture()
@@ -422,7 +422,7 @@ class TestPlanResilience:
         executor = PlanExecutor(store, seed=SEED)
         spec = QuerySpec(kind="top_k", score="entropy", k=1)
         with pytest.raises(ParameterError):
-            executor.execute_one(spec, backend="threads")
+            executor.execute_one(spec, backend="process")
 
 
 # ----------------------------------------------------------------------
