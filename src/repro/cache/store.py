@@ -223,7 +223,7 @@ class CachePartition:
     def absorb_sampler_state(self, state: dict[str, Any]) -> None:
         """Keep the deepest counted prefix per counter from a snapshot.
 
-        ``state`` is :meth:`~repro.data.sampling.PrefixSampler.state_snapshot`
+        ``state`` is :meth:`~repro.data.sampling.PrefixSampler.counter_snapshot`
         output with live arrays; everything kept is copied.
         """
         marginals = state["marginals"]

@@ -937,7 +937,7 @@ def run_query_spec(
             result=result,
         )
     if owned_cache is not None and partition is not None:
-        partition.absorb_sampler_state(sampler.state_snapshot())
+        partition.absorb_sampler_state(sampler.counter_snapshot())
         owned_cache.flush()
     return result
 
@@ -1144,7 +1144,6 @@ class PlanExecutor:
         )
         self._checkpoint_every = checkpoint_every
         self._boundaries = 0  # iteration boundaries seen across all plans
-        self._fingerprint: str | None = None
         self._restored: dict[str, Any] | None = None
         self._cache: "PlanCache | None" = None
         self._partition: "CachePartition | None" = None
@@ -1224,9 +1223,11 @@ class PlanExecutor:
             raise ParameterError(
                 f"cache= must be a PlanCache or None; got {type(cache).__name__}"
             )
+        from repro.durability.checkpoint import store_fingerprint
+
         self._cache = cache
         self._partition = cache.partition(
-            fingerprint=self._store_fingerprint(),
+            fingerprint=store_fingerprint(self._store),
             shuffle=self._sampler.shuffle_fingerprint(),
         )
         self._sampler.attach_counter_cache(self._partition)
@@ -1235,7 +1236,7 @@ class PlanExecutor:
         """Write back counters + any new answers after a query ran."""
         if self._cache is None or self._partition is None:
             return
-        self._partition.absorb_sampler_state(self._sampler.state_snapshot())
+        self._partition.absorb_sampler_state(self._sampler.counter_snapshot())
         self._cache.flush()
 
     # ------------------------------------------------------------------
@@ -1594,13 +1595,6 @@ class PlanExecutor:
         """Iteration boundaries crossed under checkpointing so far."""
         return self._boundaries
 
-    def _store_fingerprint(self) -> str:
-        if self._fingerprint is None:
-            from repro.durability.checkpoint import store_fingerprint
-
-            self._fingerprint = store_fingerprint(self._store)
-        return self._fingerprint
-
     def _boundary_hook(
         self,
         *,
@@ -1716,7 +1710,7 @@ class PlanExecutor:
         # (sampler state, results, specs) are unaffected.
         snapshot = ckpt.PlanCheckpoint(  # noqa: SWP013
             dataset={
-                "fingerprint": self._store_fingerprint(),
+                "fingerprint": ckpt.store_fingerprint(self._store),
                 "num_rows": self._store.num_rows,
             },
             executor={
@@ -1891,9 +1885,8 @@ class PlanExecutor:
         executor._floor = floor
         executor._queries_run = queries_run
         executor._boundaries = boundaries
-        executor._fingerprint = snapshot.dataset.get("fingerprint")
         # Bind the cache only now: the partition key includes the shuffle
-        # fingerprint, which must come from the *restored* permutation.
+        # fingerprint, which must come from the *restored* sampler.
         executor._bind_cache(cache, cache_dir)
         executor._restored = {
             "specs": specs,

@@ -10,7 +10,8 @@ size ``u_alpha``.
 
 The store is deliberately immutable after construction: the sampling layer
 (:mod:`repro.data.sampling`) hands out views of these arrays, and mutating a
-column under a live sampler would silently corrupt incremental counters.
+column under a live sampler would silently corrupt incremental counters, or
+leave the memoized :meth:`ColumnStore.fingerprint` describing other data.
 """
 
 from __future__ import annotations
@@ -36,6 +37,27 @@ def _pick_dtype(support_size: int) -> np.dtype:
     if support_size <= np.iinfo(np.int32).max:
         return np.dtype(np.int32)
     return np.dtype(np.int64)
+
+
+def _writable_elsewhere(arr: np.ndarray) -> bool:
+    """Whether ``arr`` views memory that a writer outside the store can reach.
+
+    An array owning its memory is frozen in place by the store, and a
+    view of read-only memory (a read-only array, ``bytes``, a read-only
+    mmap) cannot be written by anyone. A view of writable memory can be
+    written through its base, so the store must copy it.
+    """
+    base = arr.base
+    while isinstance(base, np.ndarray) and base.base is not None:
+        base = base.base
+    if base is None:
+        return False
+    if isinstance(base, np.ndarray):
+        return bool(base.flags.writeable)
+    try:
+        return not memoryview(base).readonly
+    except TypeError:
+        return True
 
 
 @runtime_checkable
@@ -186,11 +208,14 @@ class ColumnStore:
             else:
                 u = observed_max + 1 if observed_max >= 0 else 1
             arr = np.ascontiguousarray(arr, dtype=_pick_dtype(u))
+            if _writable_elsewhere(arr):
+                arr = arr.copy()
             arr.setflags(write=False)
             self._columns[name] = arr
             self._support[name] = u
         assert num_rows is not None
         self._num_rows = num_rows
+        self._fingerprint: str | None = None
 
     @classmethod
     def _from_trusted_parts(
@@ -211,6 +236,7 @@ class ColumnStore:
         store._columns = columns
         store._support = support_sizes
         store._num_rows = num_rows
+        store._fingerprint = None
         return store
 
     # ------------------------------------------------------------------
@@ -384,7 +410,13 @@ class ColumnStore:
         little-endian column bytes. :class:`~repro.data.mmap_store.MmapStore`
         computes the identical value over its on-disk columns, so the
         two engines interoperate under one fingerprint.
+
+        Computed on the first call and memoized: the columns are read-only
+        and never views of memory a caller can write, so the value cannot
+        go stale.
         """
+        if self._fingerprint is not None:
+            return self._fingerprint
         digest = hashlib.sha256()
         digest.update(f"rows:{self._num_rows}\n".encode("utf-8"))
         for name in self.attributes:
@@ -395,4 +427,5 @@ class ColumnStore:
                 )
             )
             digest.update(column.tobytes())
-        return digest.hexdigest()
+        self._fingerprint = digest.hexdigest()
+        return self._fingerprint

@@ -9,7 +9,9 @@ iteration, and the martingale argument of Section 3.1 applies.
 
 :class:`PrefixSampler` implements this substrate:
 
-* one random permutation of ``[0, N)`` drawn up front (the shuffle);
+* one random permutation of ``[0, N)`` (the shuffle), drawn on the first
+  read that needs rows and identified by the generator state it is drawn
+  from, so a plan answered entirely from a cache never pays for it;
 * per-attribute occurrence counters ``m_i`` maintained *incrementally*
   (extending the prefix from ``M`` to ``M'`` touches only the ``M' - M``
   new records of each requested attribute — the columnar "sequential
@@ -29,6 +31,7 @@ generators, which emit i.i.d. rows).
 from __future__ import annotations
 
 import hashlib
+import json
 from collections.abc import Sequence
 from typing import Protocol
 
@@ -65,11 +68,31 @@ class CounterCache(Protocol):
         ...
 
 
-def _as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
-    """Normalise a seed argument into a :class:`numpy.random.Generator`."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def _shuffle_identity(rng: np.random.Generator, num_rows: int) -> str:
+    """sha256 identity of the permutation ``rng`` is about to draw.
+
+    ``rng.permutation(num_rows)`` is a pure function of the bit
+    generator's type and state, ``num_rows``, and the numpy release
+    implementing the draw, so hashing those identifies the shuffle
+    without drawing it. The numpy version is part of the key because a
+    release may change the algorithm: after an upgrade the identity
+    changes, and caches keyed on it miss rather than serve counters of
+    a different permutation.
+    """
+    document = {
+        "bit_generator": type(rng.bit_generator).__name__,
+        "state": rng.bit_generator.state,
+        "num_rows": num_rows,
+        "numpy": np.__version__,
+    }
+    # Some states hold arrays (MT19937's key, Philox's counter and buffer).
+    canonical = json.dumps(
+        document,
+        sort_keys=True,
+        separators=(",", ":"),
+        default=lambda array: array.tolist(),
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class PrefixSampler:
@@ -82,7 +105,10 @@ class PrefixSampler:
         The dataset to sample from.
     seed:
         Seed or generator for the shuffle. Queries made with the same seed
-        on the same store are fully reproducible.
+        on the same store are fully reproducible. An int or ``None`` seed
+        defers the draw to the first read that needs rows; a
+        :class:`numpy.random.Generator` is consumed here, so the caller's
+        stream advances by one ``permutation(N)`` at construction.
     sequential:
         When true, no shuffle is performed and "sampling M records" means
         reading the first M *physical* rows. Only valid when the physical
@@ -119,11 +145,18 @@ class PrefixSampler:
         self._n = store.num_rows
         self._counter_cache = counter_cache
         self._cells_saved = 0
+        self._sequential = sequential
+        # The shuffle: drawn from ``_rng`` on first use (see _permutation).
+        self._perm: np.ndarray | None = None
+        self._rng: np.random.Generator | None = None
         if sequential:
-            self._perm: np.ndarray | None = None
+            self._shuffle_id = "sequential"
+        elif isinstance(seed, np.random.Generator):
+            self._shuffle_id = _shuffle_identity(seed, self._n)
+            self._perm = seed.permutation(self._n)
         else:
-            rng = _as_generator(seed)
-            self._perm = rng.permutation(self._n)
+            self._rng = np.random.default_rng(seed)
+            self._shuffle_id = _shuffle_identity(self._rng, self._n)
         # attribute -> (rows_counted, counts[u_alpha])
         self._marginals: dict[str, tuple[int, np.ndarray]] = {}
         # (attr_a, attr_b) -> (rows_counted, JointCounter)
@@ -185,13 +218,13 @@ class PrefixSampler:
 
         Counters are a pure function of (dataset, row order, prefix
         length), so cache partitions key on this next to the dataset
-        fingerprint. Sequential samplers all share the physical order
-        and return the literal marker ``"sequential"``.
+        fingerprint. The identity hashes what determines the shuffle —
+        bit generator type and state before the draw, ``N``, and the
+        numpy version — so it costs O(1) and never forces the draw.
+        Sequential samplers all share the physical order and return the
+        literal marker ``"sequential"``.
         """
-        if self._perm is None:
-            return "sequential"
-        digest = hashlib.sha256(np.ascontiguousarray(self._perm).tobytes())
-        return digest.hexdigest()
+        return self._shuffle_id
 
     @property
     def counted_attributes(self) -> tuple[str, ...]:
@@ -216,20 +249,31 @@ class PrefixSampler:
 
         Captures everything a resumed process needs to continue the scan
         bit-identically: the shuffle itself (``None`` in sequential
-        mode), every marginal counter with its counted prefix, every
-        joint counter (via :meth:`~repro.data.joint.JointCounter.snapshot`),
-        and the cumulative ``cells_scanned`` meter, which downstream
-        stats and trace events are derived from. Arrays are returned
-        live; serialisation belongs to
-        :mod:`repro.durability.checkpoint`. The returned structures must
-        not be mutated.
+        mode; taking the snapshot draws it if no read has yet) and its
+        :meth:`shuffle_fingerprint`, the :meth:`counter_snapshot`, and
+        the cumulative ``cells_scanned`` meter, which downstream stats
+        and trace events are derived from. Arrays are returned live;
+        serialisation belongs to :mod:`repro.durability.checkpoint`. The
+        returned structures must not be mutated.
         """
         return {
             "num_rows": self._n,
-            "sequential": self._perm is None,
-            "permutation": self._perm,
+            "sequential": self._sequential,
+            "shuffle": self._shuffle_id,
+            "permutation": self._permutation(),
             "cells_scanned": self._cells_scanned,
             "cells_saved": self._cells_saved,
+            **self.counter_snapshot(),
+        }
+
+    def counter_snapshot(self) -> dict[str, object]:
+        """Every marginal and joint counter with its counted prefix.
+
+        The part of :meth:`state_snapshot` that a counter cache keeps;
+        unlike the full snapshot it never draws the shuffle. Arrays are
+        returned live and must not be mutated.
+        """
+        return {
             "marginals": {
                 name: {"counted": counted, "counts": counts}
                 for name, (counted, counts) in self._marginals.items()
@@ -279,7 +323,9 @@ class PrefixSampler:
                     f"snapshot permutation has shape {perm.shape}, expected"
                     f" ({num_rows},)"
                 )
+            sampler._sequential = False
             sampler._perm = perm
+            sampler._shuffle_id = str(state["shuffle"])
         marginals = state["marginals"]
         assert isinstance(marginals, dict)
         for name, entry in marginals.items():
@@ -323,9 +369,17 @@ class PrefixSampler:
     def shuffled_prefix(self, num_rows: int) -> np.ndarray:
         """Return the row indices making up the first ``num_rows`` samples."""
         self._check_prefix(num_rows)
-        if self._perm is None:
+        perm = self._permutation()
+        if perm is None:
             return np.arange(num_rows)
-        return self._perm[:num_rows]
+        return perm[:num_rows]
+
+    def _permutation(self) -> np.ndarray | None:
+        """The shuffle, drawn on first use; ``None`` in sequential mode."""
+        if self._rng is not None:
+            self._perm = self._rng.permutation(self._n)
+            self._rng = None
+        return self._perm
 
     def _check_prefix(self, num_rows: int) -> None:
         if not 0 < num_rows <= self._n:
@@ -342,11 +396,12 @@ class PrefixSampler:
         until a different block is requested. Sequential samplers return
         a plain slice (the physical order needs no gather).
         """
-        if self._perm is None:
+        perm = self._permutation()
+        if perm is None:
             return slice(start, stop)
         if self._block_range != (start, stop):
             self._block_range = (start, stop)
-            self._block_rows = self._perm[start:stop]
+            self._block_rows = perm[start:stop]
         rows = self._block_rows
         assert rows is not None
         return rows

@@ -83,7 +83,10 @@ CHECKPOINT_FORMAT = "repro-plan-checkpoint"
 #: v2: planner-v2 fields — sampler state and run stats carry
 #: ``cells_saved`` (plan-cache accounting) and plan progress carries the
 #: scheduled plan's metadata (count groups, order, cost estimates).
-CHECKPOINT_SCHEMA_VERSION = 2
+#: v3: the sampler section carries ``shuffle``, the seed-derived shuffle
+#: identity, so a resumed executor binds the interrupted run's cache
+#: partition.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 _PAYLOAD_KEYS = ("dataset", "executor", "sampler", "specs", "progress")
 
@@ -176,6 +179,7 @@ def encode_sampler_state(state: dict[str, Any]) -> dict[str, Any]:
     return {
         "num_rows": int(state["num_rows"]),
         "sequential": bool(state["sequential"]),
+        "shuffle": str(state["shuffle"]),
         "permutation": None if permutation is None else _encode_array(permutation),
         "cells_scanned": int(state["cells_scanned"]),
         "cells_saved": int(state.get("cells_saved", 0)),
@@ -205,6 +209,7 @@ def decode_sampler_state(payload: dict[str, Any]) -> dict[str, Any]:
         return {
             "num_rows": int(payload["num_rows"]),
             "sequential": bool(payload["sequential"]),
+            "shuffle": str(payload["shuffle"]),
             "permutation": (
                 None if permutation is None else _decode_array(permutation)
             ),

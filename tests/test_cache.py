@@ -82,7 +82,7 @@ def _payloads(result) -> list[dict]:
 def _partition_path(store: ColumnStore, directory: Path, seed: int = SEED) -> Path:
     executor = PlanExecutor(store, seed=seed)
     return directory / partition_filename(
-        executor._store_fingerprint(), executor._sampler.shuffle_fingerprint()
+        store.fingerprint(), executor.sampler.shuffle_fingerprint()
     )
 
 

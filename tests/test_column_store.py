@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.column_store import ColumnStore
+from repro.data.mmap_store import MmapStore
 from repro.exceptions import SchemaError
 
 
@@ -200,3 +201,46 @@ class TestTrustedFastPath:
         taken = tiny_store.take(mask)
         assert taken.num_rows == 2
         assert len(taken) == 2
+
+
+class TestFingerprint:
+    def test_view_of_writable_buffer_is_copied(self):
+        base = np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=np.int16)
+        store = ColumnStore({"a": base[2:6]})
+        before = store.fingerprint()
+        base[2:6] = 0
+        np.testing.assert_array_equal(store.column("a"), [2, 3, 0, 1])
+        assert store.fingerprint() == before
+        assert ColumnStore({"a": np.array([2, 3, 0, 1])}).fingerprint() == before
+
+    def test_view_of_read_only_buffer_is_shared(self):
+        base = np.array([0, 1, 2, 3], dtype=np.int16)
+        base.setflags(write=False)
+        view = base[1:]
+        assert ColumnStore({"a": view}).column("a").base is base
+        frozen = np.frombuffer(bytes(np.array([1, 0], dtype=np.int16)), np.int16)
+        assert ColumnStore({"a": frozen}).column("a").base is frozen.base
+
+    def test_memoized(self, tiny_store, monkeypatch):
+        first = tiny_store.fingerprint()
+        monkeypatch.setattr(
+            tiny_store, "column", lambda name: pytest.fail("column re-hashed")
+        )
+        assert tiny_store.fingerprint() == first
+
+    def test_derived_stores_have_their_own_memo(self, tiny_store, tmp_path):
+        tiny_store.fingerprint()  # memoize the parent first
+        derived = {
+            "select": tiny_store.select(["c", "a"]),
+            "head": tiny_store.head(5),
+            "take": tiny_store.take([7, 0, 3]),
+        }
+        for label, store in derived.items():
+            fresh = ColumnStore(
+                {n: store.column(n).copy() for n in store.attributes},
+                support_sizes=store.support_sizes(),
+            )
+            on_disk = MmapStore.from_column_store(store, tmp_path / label)
+            assert store.fingerprint() == fresh.fingerprint(), label
+            assert store.fingerprint() == on_disk.fingerprint(), label
+            assert store.fingerprint() != tiny_store.fingerprint(), label
