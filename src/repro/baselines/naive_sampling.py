@@ -69,20 +69,21 @@ def naive_sample_mutual_informations(
     sample_size = _check_sample_size(sample_size, store.num_rows)
     if candidates is None:
         candidates = [a for a in store.attributes if a != target]
+    if target in candidates:
+        raise ParameterError(f"target {target!r} cannot also be a candidate")
     sampler = PrefixSampler(store, seed=seed)
+    # Joints first: the marginals below are then the margins of the
+    # joint block tables, and no column is read twice.
+    joints = sampler.joint_counts_batch(target, candidates, sample_size)
     h_target = entropy_from_counts(
         sampler.marginal_counts(target, sample_size), total=sample_size
     )
     scores: dict[str, float] = {}
     for name in candidates:
-        if name == target:
-            raise ParameterError(f"target {target!r} cannot also be a candidate")
         h_cand = entropy_from_counts(
             sampler.marginal_counts(name, sample_size), total=sample_size
         )
-        h_joint = joint_entropy_from_counter(
-            sampler.joint_counts(target, name, sample_size)
-        )
+        h_joint = joint_entropy_from_counter(joints[name])
         scores[name] = max(0.0, h_target + h_cand - h_joint)
     return scores
 

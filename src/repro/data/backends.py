@@ -1,28 +1,39 @@
 """Pluggable counting backends for the sampling substrate.
 
-Occurrence counting — gathering a block of prefix rows from an encoded
-column and histogramming it with ``bincount`` — is the only data-touching
-operation on the adaptive query hot path, and the paper's cost model
-(cells scanned) charges exactly this work. Everything above it (bounds,
-stopping rules, pruning) is pure arithmetic over the resulting counts.
+Occurrence counting — gathering a block of prefix rows from encoded
+columns and histogramming it with ``bincount`` — is the only
+data-touching operation on the adaptive query hot path, and the paper's
+cost model (cells scanned) charges exactly this work. Everything above
+it (bounds, stopping rules, pruning) is pure arithmetic over the
+resulting counts.
 
 This module isolates that operation behind the :class:`CountingBackend`
-protocol so :class:`~repro.data.sampling.PrefixSampler` can batch the
-per-iteration work of *all* live candidate columns into a single call and
-swap the execution strategy without touching cost accounting or results:
+protocol, so :class:`~repro.data.sampling.PrefixSampler` can batch the
+per-iteration work of *all* live candidate columns into one call and
+swap the execution strategy without touching cost accounting or
+results. The protocol has two kernels:
+
+* :meth:`~CountingBackend.count_columns` — per-column marginal counts
+  of a block;
+* :meth:`~CountingBackend.count_pairs` — dense joint counts of one
+  ``first`` column with each of several columns over a block. The
+  ``first`` block is gathered once, and a pair ``(i, j)`` with supports
+  ``(u1, u2)`` is coded as ``i * u2 + j`` in the narrowest integer
+  dtype holding ``u1 * u2`` codes (int16 for the usual small supports).
+
+Two backends implement it:
 
 * :class:`NumpyBackend` — one sequential gather + ``bincount`` pass per
-  column (the default; equivalent to the historical per-attribute path,
-  minus the per-call overhead).
+  column (the default).
 * :class:`ProcessBackend` — row-sharded ``multiprocessing`` workers.
-  Each worker receives the shared permutation/rows block (a
+  Each worker receives the shared rows block (a
   ``multiprocessing.shared_memory`` segment, or a plain slice in
   sequential mode) plus column references — shared-memory segments for
   in-memory columns, ``(path, dtype, offset)`` descriptors for
-  memory-mapped columns, which workers open independently — computes a
-  per-shard ``bincount`` for every requested column, and the parent
-  merges the shards by int64 summation. Integer addition is exact, so
-  the merged counts are bit-identical to a single-pass ``bincount``.
+  memory-mapped columns, which workers open independently — runs the
+  same kernel on its shard, and the parent merges the shards by int64
+  summation. Integer addition is exact, so the merged counts are
+  bit-identical to a single-pass ``bincount``.
 
 Backends are pure functions of their inputs — every count array a backend
 returns is bit-identical across backends, which is what lets the engine
@@ -48,6 +59,7 @@ from typing import Any, Protocol
 
 import numpy as np
 
+from repro.data.column_store import _pick_dtype
 from repro.exceptions import ParameterError
 
 __all__ = [
@@ -65,16 +77,53 @@ __all__ = [
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
-def _count_one(
-    column: np.ndarray, rows: np.ndarray | slice, support_size: int
-) -> np.ndarray:
+def _count_columns(
+    columns: Sequence[np.ndarray],
+    support_sizes: Sequence[int],
+    rows: np.ndarray | slice,
+) -> list[np.ndarray]:
     """Gather ``column[rows]`` and histogram it into ``support_size`` bins.
 
-    This is the exact operation the sampler's incremental marginal
-    counters have always performed; keeping it as the single shared
-    kernel is what makes all backends bit-identical.
+    The marginal kernel every backend runs (a :class:`ProcessBackend`
+    worker on its row shard); one shared kernel is what makes all
+    backends bit-identical.
     """
-    return np.bincount(column[rows], minlength=support_size)
+    return [
+        np.bincount(column[rows], minlength=support)
+        for column, support in zip(columns, support_sizes)
+    ]
+
+
+def _count_pairs(
+    columns: Sequence[np.ndarray],
+    support_sizes: Sequence[int],
+    rows: np.ndarray | slice,
+) -> list[np.ndarray]:
+    """Dense joint counts of ``columns[0]`` with each of ``columns[1:]``.
+
+    The pair kernel behind :meth:`CountingBackend.count_pairs`, with the
+    first column and its support leading the sequences so both kernels
+    share one worker signature. The first block is gathered once; its
+    scaled copy ``first * u2`` is built once per distinct ``u2``, in
+    ``_pick_dtype(u1 * u2)``, the narrowest dtype holding every code.
+    """
+    first, *seconds = columns
+    first_support, *second_supports = support_sizes
+    first_block = first[rows]
+    scaled: dict[int, np.ndarray] = {}
+    out: list[np.ndarray] = []
+    for column, support in zip(seconds, second_supports):
+        width = first_support * support
+        codes = scaled.get(support)
+        if codes is None:
+            codes = np.multiply(
+                first_block, support, dtype=_pick_dtype(width), casting="unsafe"
+            )
+            scaled[support] = codes
+        # A fresh array: the scaled block is shared by later pairs.
+        codes = np.add(codes, column[rows], dtype=codes.dtype, casting="unsafe")
+        out.append(np.bincount(codes, minlength=width))
+    return out
 
 
 class CountingBackend(Protocol):
@@ -99,6 +148,25 @@ class CountingBackend(Protocol):
         """
         ...  # pragma: no cover - protocol
 
+    def count_pairs(
+        self,
+        first: np.ndarray,
+        first_support: int,
+        columns: Sequence[np.ndarray],
+        support_sizes: Sequence[int],
+        rows: np.ndarray | slice,
+    ) -> list[np.ndarray]:
+        """Dense joint counts of ``(first[rows], column[rows])`` per column.
+
+        The i-th result is the int64 ``bincount`` of the pair codes
+        ``first * support_sizes[i] + column``, of length exactly
+        ``first_support * support_sizes[i]``: reshaped to
+        ``(first_support, support_sizes[i])``, its row and column sums
+        are the two marginal counts of the block. Callers keep the
+        product small (see :data:`~repro.data.joint.DENSE_LIMIT`).
+        """
+        ...  # pragma: no cover - protocol
+
 
 class NumpyBackend:
     """Default backend: sequential NumPy gather + ``bincount`` per column."""
@@ -111,10 +179,19 @@ class NumpyBackend:
         support_sizes: Sequence[int],
         rows: np.ndarray | slice,
     ) -> list[np.ndarray]:
-        return [
-            _count_one(column, rows, support)
-            for column, support in zip(columns, support_sizes)
-        ]
+        return _count_columns(columns, support_sizes, rows)
+
+    def count_pairs(
+        self,
+        first: np.ndarray,
+        first_support: int,
+        columns: Sequence[np.ndarray],
+        support_sizes: Sequence[int],
+        rows: np.ndarray | slice,
+    ) -> list[np.ndarray]:
+        return _count_pairs(
+            [first, *columns], [first_support, *support_sizes], rows
+        )
 
 
 # ----------------------------------------------------------------------
@@ -221,30 +298,36 @@ def _worker_resolve_rows(
     )
 
 
+#: A backend kernel: ``(columns, support_sizes, rows) -> counts``.
+_Kernel = Callable[
+    [Sequence[np.ndarray], Sequence[int], "np.ndarray | slice"], list[np.ndarray]
+]
+
+
 def _count_shard(
+    kernel: _Kernel,
     column_refs: Sequence[_ArrayRef],
     support_sizes: Sequence[int],
     rows_ref: _ArrayRef,
     lo: int,
     hi: int,
 ) -> list[np.ndarray]:
-    """Worker task: per-column bincount over one row shard."""
+    """Worker task: run ``kernel`` over one row shard."""
     rows = _worker_resolve_rows(rows_ref, lo, hi)
-    return [
-        np.bincount(_worker_resolve_column(ref)[rows], minlength=support)
-        for ref, support in zip(column_refs, support_sizes)
-    ]
+    return kernel(
+        [_worker_resolve_column(ref) for ref in column_refs], support_sizes, rows
+    )
 
 
 class ProcessBackend:
     """Row-sharded counting on a pool of worker processes.
 
     The rows block is split into ``max_workers`` contiguous shards; each
-    worker histograms *every* requested column over its shard and the
-    parent merges the per-shard counts by int64 summation — integer
-    addition is exact, so the merged counts are bit-identical to a
-    single-pass ``bincount`` (the property the batch==scalar identity
-    suite gates on).
+    worker runs the backend kernel (marginal or pair counts of *every*
+    requested column) over its shard and the parent merges the per-shard
+    counts by int64 summation — integer addition is exact, so the merged
+    counts are bit-identical to a single-pass ``bincount`` (the property
+    the batch==scalar identity suite gates on).
 
     Data crosses the process boundary without copying the dataset:
 
@@ -263,9 +346,9 @@ class ProcessBackend:
     max_workers:
         Worker-pool size; defaults to ``os.cpu_count()``.
     min_parallel_cells:
-        Batches smaller than this many cells (rows × columns) run on the
-        serial kernel in-process — below the threshold the dispatch
-        overhead exceeds the counting work.
+        Batches smaller than this many cells (rows × counted columns, or
+        rows × pairs) run on the serial kernel in-process — below the
+        threshold the dispatch overhead exceeds the counting work.
 
     Call :meth:`close` to release the pool and the shared-memory
     segments deterministically; garbage collection is the backstop.
@@ -390,16 +473,49 @@ class ProcessBackend:
             return ref, None
         return ref, segment
 
-    # -- the counting call ---------------------------------------------
+    # -- the counting calls --------------------------------------------
     def count_columns(
         self,
         columns: Sequence[np.ndarray],
         support_sizes: Sequence[int],
         rows: np.ndarray | slice,
     ) -> list[np.ndarray]:
+        return self._run(
+            _count_columns, columns, support_sizes, rows, len(columns)
+        )
+
+    def count_pairs(
+        self,
+        first: np.ndarray,
+        first_support: int,
+        columns: Sequence[np.ndarray],
+        support_sizes: Sequence[int],
+        rows: np.ndarray | slice,
+    ) -> list[np.ndarray]:
+        return self._run(
+            _count_pairs,
+            [first, *columns],
+            [first_support, *support_sizes],
+            rows,
+            len(columns),
+        )
+
+    def _run(
+        self,
+        kernel: _Kernel,
+        columns: Sequence[np.ndarray],
+        support_sizes: Sequence[int],
+        rows: np.ndarray | slice,
+        results: int,
+    ) -> list[np.ndarray]:
+        """Run ``kernel`` serially or row-sharded, yielding ``results`` arrays.
+
+        Batches of fewer than ``min_parallel_cells`` cells (rows × result
+        arrays) run the kernel in-process.
+        """
         if self._closed:
             raise ParameterError("ProcessBackend is closed")
-        if not columns:
+        if not results:
             return []
         if isinstance(rows, slice):
             start = rows.start or 0
@@ -410,13 +526,10 @@ class ProcessBackend:
         workers = self._max_workers
         if (
             workers == 1
-            or num_rows * len(columns) < self._min_parallel_cells
+            or num_rows * results < self._min_parallel_cells
             or num_rows < workers
         ):
-            return [
-                _count_one(column, rows, support)
-                for column, support in zip(columns, support_sizes)
-            ]
+            return kernel(columns, support_sizes, rows)
         transient: list[Any] = []
         try:
             refs: list[_ArrayRef] = []
@@ -435,6 +548,7 @@ class ProcessBackend:
             futures = [
                 self._pool().submit(
                     _count_shard,
+                    kernel,
                     refs,
                     list(support_sizes),
                     rows_ref,
@@ -452,7 +566,7 @@ class ProcessBackend:
                 self._release_segment(segment)
         return [
             self._merge_shards([shard[i] for shard in shards])
-            for i in range(len(columns))
+            for i in range(results)
         ]
 
     @staticmethod
@@ -527,9 +641,14 @@ def resolve_backend(backend: str | CountingBackend | None) -> CountingBackend:
                 f" {backend_names()} or pass a CountingBackend instance"
             )
         return factory()
-    if not hasattr(backend, "count_columns"):
+    missing = [
+        method
+        for method in ("count_columns", "count_pairs")
+        if not hasattr(backend, method)
+    ]
+    if missing:
         raise ParameterError(
             f"backend {backend!r} does not implement CountingBackend"
-            " (missing count_columns)"
+            f" (missing {', '.join(missing)})"
         )
     return backend

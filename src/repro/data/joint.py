@@ -9,11 +9,14 @@ marginal counters use.
 Two storage strategies are used, switching automatically:
 
 * **dense** — a flat ``int64`` array of length ``u1 * u2`` when that product
-  is small enough (fast, cache friendly);
+  is small enough (fast, cache friendly). The sampler fills it with
+  :meth:`JointCounter.add_table`, from the block tables a
+  :class:`~repro.data.backends.CountingBackend` counts;
 * **sparse** — a dictionary keyed by code when the cross product is large
   (the paper's datasets cap ``u_alpha`` at 1000, so ``u1 * u2`` can reach
   10^6; real pair supports are far smaller, which is exactly why the paper
-  upper-bounds ``u_{t,a}`` by ``u_t * u_a`` instead of materialising it).
+  upper-bounds ``u_{t,a}`` by ``u_t * u_a`` instead of materialising it),
+  filled by :meth:`JointCounter.update` from the raw column blocks.
 
 Only nonzero counts ever matter to entropy, so the sparse form loses
 nothing.
@@ -93,9 +96,9 @@ class JointCounter:
             )
         if first.size == 0:
             return
-        # asarray, not astype: already-int64 blocks (the batch layer
-        # pre-casts the shared first-column block once) pass through
-        # without a copy.
+        # int64 codes hold any support product; the sampler sends only
+        # sparse pairs here (dense pairs arrive as add_table deltas from
+        # CountingBackend.count_pairs, coded in the narrowest dtype).
         codes = np.asarray(first, dtype=np.int64) * self._u2 + np.asarray(
             second, dtype=np.int64
         )
@@ -108,6 +111,24 @@ class JointCounter:
             for code, count in zip(unique.tolist(), counts.tolist()):
                 sparse[code] = sparse.get(code, 0) + count
         self._total += first.size
+
+    def add_table(self, table: np.ndarray) -> None:
+        """Add a dense ``(u1, u2)`` table of pair counts of new records.
+
+        ``table[i, j]`` is the number of new records with the pair
+        ``(i, j)`` — a :meth:`~repro.data.backends.CountingBackend.count_pairs`
+        delta reshaped, or its transpose when the pair was counted in the
+        other orientation. Dense counters only.
+        """
+        if self._dense is None:
+            raise ParameterError("add_table needs a dense joint counter")
+        if table.shape != (self._u1, self._u2):
+            raise ParameterError(
+                f"pair table has shape {table.shape}, expected"
+                f" ({self._u1}, {self._u2})"
+            )
+        self._dense.reshape(self._u1, self._u2)[...] += table
+        self._total += int(table.sum())
 
     def nonzero_counts(self) -> np.ndarray:
         """Return the nonzero joint counts ``n_{i,j}`` as a flat int64 array.

@@ -21,6 +21,14 @@ iteration, and the martingale argument of Section 3.1 applies.
 * an exact account of work done (``cells_scanned``) so experiments can
   report a machine-independent cost next to wall-clock time.
 
+Each new block ``perm[M:M']`` is read in ascending row order: counts do
+not depend on the order of records within a block, so the sampler sorts
+the block's row indices once and every gather sweeps memory (or an mmap
+store's pages) forward. A dense joint count of a block also yields both
+marginal counts of that block as its row and column sums; the sampler
+keeps them as *pending margins*, so an MI iteration that counts joints
+first reads each candidate's block once.
+
 The sampler also supports ``sequential=True``, which skips the shuffle and
 reads the physical row order directly. The paper does this for cache
 friendliness on columnar storage; it is statistically equivalent only when
@@ -43,6 +51,10 @@ from repro.data.joint import JointCounter
 from repro.exceptions import ParameterError, SchemaError
 
 __all__ = ["CounterCache", "PrefixSampler"]
+
+#: A dense pair waiting for its block count: ``(second, key, counter)``,
+#: ``key`` being the pair's canonical (sorted) name order.
+_DensePair = tuple[str, tuple[str, str], JointCounter]
 
 
 class CounterCache(Protocol):
@@ -169,6 +181,10 @@ class PrefixSampler:
         # and joint pair extending over the same block.
         self._block_range: tuple[int, int] | None = None
         self._block_rows: np.ndarray | None = None
+        # attribute -> (start, stop, counts of the prefix block
+        # [start, stop)): margins of the last dense joint delta, added
+        # by the next marginal extension over exactly that block.
+        self._pending: dict[str, tuple[int, int, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -195,6 +211,11 @@ class PrefixSampler:
         Every record of every attribute contributes one cell each time it
         is consumed by a counter; a joint counter over a pair consumes two
         cells per record, matching the cost of reading both columns.
+
+        This is the paper's per-attribute cost model, and it is kept as
+        such: a marginal extension served from the margins of a joint
+        block (see :meth:`joint_counts_batch`) still charges one cell
+        per row, although the candidate's block was read only once.
         """
         return self._cells_scanned
 
@@ -392,24 +413,22 @@ class PrefixSampler:
 
         Within one adaptive iteration every live column (and joint pair)
         extends its counts over the same ``[start, stop)`` block of the
-        shuffle, so the permutation slice is materialized once and shared
-        until a different block is requested. Sequential samplers return
-        a plain slice (the physical order needs no gather).
+        shuffle, so the block is materialized once and shared until a
+        different block is requested. It is materialized *sorted*: counts
+        do not depend on the order of records within a block, and
+        ascending row indices make every gather a forward sweep.
+        Sequential samplers return a plain slice (the physical order
+        needs no gather).
         """
         perm = self._permutation()
         if perm is None:
             return slice(start, stop)
         if self._block_range != (start, stop):
             self._block_range = (start, stop)
-            self._block_rows = perm[start:stop]
+            self._block_rows = np.sort(perm[start:stop])
         rows = self._block_rows
         assert rows is not None
         return rows
-
-    def _column_block(self, name: str, start: int, stop: int) -> np.ndarray:
-        """Return the encoded values of rows ``start:stop`` of the prefix."""
-        col = self._store.column(name)
-        return col[self._prefix_rows(start, stop)]
 
     # ------------------------------------------------------------------
     # Marginal counts
@@ -440,6 +459,12 @@ class PrefixSampler:
         accounting, and error behaviour are identical to issuing the
         equivalent scalar calls — attributes whose counters are at
         different prefixes each extend only their own missing block.
+
+        A column whose counter stands at the start of a pending margin
+        over exactly ``[counted, num_rows)`` (left by a dense
+        :meth:`joint_counts_batch` call) adds that margin instead of
+        gathering; any other pending margin of a requested column is
+        dropped.
 
         Returns the live counter arrays keyed by name (callers must not
         mutate them); duplicate names collapse to one entry.
@@ -480,11 +505,20 @@ class PrefixSampler:
             starts[name] = counted
             counters[name] = counts
         # Group extensions by their start offset (counters at different
-        # prefixes need different blocks) so each block is gathered once.
+        # prefixes need different blocks) so each block is gathered once;
+        # a pending margin of exactly the missing block is added instead.
         by_start: dict[int, list[str]] = {}
         for name in ordered:
-            if starts[name] < num_rows:
-                by_start.setdefault(starts[name], []).append(name)
+            start = starts[name]
+            pending = self._pending.pop(name, None)
+            if start == num_rows:
+                continue
+            if pending is not None and pending[:2] == (start, num_rows):
+                counters[name] += pending[2]
+                self._cells_scanned += num_rows - start
+                self._marginals[name] = (num_rows, counters[name])
+            else:
+                by_start.setdefault(start, []).append(name)
         for start, group in by_start.items():
             rows = self._prefix_rows(start, num_rows)
             fresh = self._backend.count_columns(
@@ -515,71 +549,106 @@ class PrefixSampler:
     ) -> dict[str, JointCounter]:
         """Joint counts of ``first`` with each of ``seconds`` over the prefix.
 
-        The batched form of :meth:`joint_counts` (which delegates here):
-        the block of ``first`` values for each distinct start offset is
-        gathered once and shared by every pair extending over it, as is
-        the permutation block itself. Counts, cost accounting, and error
+        The batched form of :meth:`joint_counts` (which delegates here).
+        Dense pairs extending over the same block are counted by one
+        :meth:`~repro.data.backends.CountingBackend.count_pairs` call,
+        which gathers the ``first`` block once. The row and column sums
+        of each pair's block table are left as pending margins of
+        ``first`` and the second attribute, so a following
+        :meth:`marginal_counts_batch` over the same block reads neither
+        column again. Sparse pairs are counted by
+        :meth:`JointCounter.update`. Counts, cost accounting, and error
         behaviour are identical to the equivalent scalar calls.
 
         Returns the live counters keyed by the second attribute's name;
         duplicate names collapse to one entry.
         """
         self._check_prefix(num_rows)
-        # first-column blocks gathered so far, keyed by start offset
-        first_blocks: dict[int, np.ndarray] = {}
         out: dict[str, JointCounter] = {}
-        for second in seconds:
-            if second in out:
-                continue
-            if first == second:
-                raise SchemaError(
-                    f"joint counts of an attribute with itself ({first!r}) are"
-                    " the marginal counts; use marginal_counts()"
-                )
-            key = (first, second) if first <= second else (second, first)
-            state = self._joints.get(key)
-            if state is None:
-                counted = 0
-                counter = JointCounter(
-                    self._store.support_size(key[0]),
-                    self._store.support_size(key[1]),
-                )
-            else:
-                counted, counter = state
-            if num_rows < counted:
-                raise ParameterError(
-                    f"prefix for pair {key!r} already at {counted} rows; cannot"
-                    f" shrink to {num_rows}"
-                )
-            if self._counter_cache is not None and counted < num_rows:
-                served_joint = self._counter_cache.best_joint(
-                    key[0], key[1], counted, num_rows
-                )
-                if served_joint is not None:
-                    previous = counted
-                    counted, counter = served_joint
-                    self._cells_saved += 2 * (counted - previous)
-                    self._joints[key] = (counted, counter)
-            if num_rows > counted:
-                block_first = first_blocks.get(counted)
-                if block_first is None:
-                    # Cast to the joint counter's code dtype once; every
-                    # pair sharing this block then skips its own cast.
-                    block_first = self._column_block(
-                        first, counted, num_rows
-                    ).astype(np.int64)
-                    first_blocks[counted] = block_first
-                block_second = self._store.column(second)[
-                    self._prefix_rows(counted, num_rows)
-                ]
-                if key[0] == first:
-                    counter.update(block_first, block_second)
+        # start offset -> dense pairs extending over [start, num_rows)
+        dense: dict[int, list[_DensePair]] = {}
+        try:
+            for second in seconds:
+                if second in out:
+                    continue
+                if first == second:
+                    raise SchemaError(
+                        f"joint counts of an attribute with itself ({first!r})"
+                        " are the marginal counts; use marginal_counts()"
+                    )
+                key = (first, second) if first <= second else (second, first)
+                state = self._joints.get(key)
+                if state is None:
+                    counted = 0
+                    counter = JointCounter(
+                        self._store.support_size(key[0]),
+                        self._store.support_size(key[1]),
+                    )
                 else:
-                    counter.update(block_second, block_first)
-                self._cells_scanned += 2 * (num_rows - counted)
-                self._joints[key] = (num_rows, counter)
-            out[second] = counter
+                    counted, counter = state
+                if num_rows < counted:
+                    raise ParameterError(
+                        f"prefix for pair {key!r} already at {counted} rows;"
+                        f" cannot shrink to {num_rows}"
+                    )
+                if self._counter_cache is not None and counted < num_rows:
+                    served_joint = self._counter_cache.best_joint(
+                        key[0], key[1], counted, num_rows
+                    )
+                    if served_joint is not None:
+                        previous = counted
+                        counted, counter = served_joint
+                        self._cells_saved += 2 * (counted - previous)
+                        self._joints[key] = (counted, counter)
+                if num_rows > counted and counter.is_dense:
+                    dense.setdefault(counted, []).append((second, key, counter))
+                elif num_rows > counted:
+                    rows = self._prefix_rows(counted, num_rows)
+                    blocks = (
+                        self._store.column(key[0])[rows],
+                        self._store.column(key[1])[rows],
+                    )
+                    counter.update(*blocks)
+                    self._cells_scanned += 2 * (num_rows - counted)
+                    self._joints[key] = (num_rows, counter)
+                out[second] = counter
+        finally:
+            # Count the dense pairs gathered so far even when a later
+            # pair raises, as the scalar calls would have.
+            self._count_dense_pairs(first, dense, num_rows)
         return out
+
+    def _count_dense_pairs(
+        self, first: str, dense: dict[int, list[_DensePair]], num_rows: int
+    ) -> None:
+        """Count dense pairs per block, leaving their margins pending."""
+        first_support = self._store.support_size(first)
+        first_margins: dict[int, np.ndarray] = {}
+        for start, group in dense.items():
+            supports = [self._store.support_size(second) for second, _, _ in group]
+            deltas = self._backend.count_pairs(
+                self._store.column(first),
+                first_support,
+                [self._store.column(second) for second, _, _ in group],
+                supports,
+                self._prefix_rows(start, num_rows),
+            )
+            for (second, key, counter), support, delta in zip(
+                group, supports, deltas
+            ):
+                table = delta.reshape(first_support, support)
+                counter.add_table(table if key[0] == first else table.T)
+                self._cells_scanned += 2 * (num_rows - start)
+                self._joints[key] = (num_rows, counter)
+                self._pending[second] = (start, num_rows, table.sum(axis=0))
+            first_margins[start] = table.sum(axis=1)
+        if first_margins:
+            # One pending slot per attribute: prefer the block the first
+            # attribute's marginal counter would extend over next.
+            start = self.counted_prefix(first)
+            if start not in first_margins:
+                start = next(iter(first_margins))
+            self._pending[first] = (start, num_rows, first_margins[start])
 
     # ------------------------------------------------------------------
     # Cache hygiene
@@ -587,12 +656,14 @@ class PrefixSampler:
     def release(self, name: str) -> None:
         """Drop the marginal counter of ``name`` (e.g. after pruning).
 
-        Joint counters involving ``name`` are also dropped. Releasing an
-        attribute that was never counted is a no-op, as is any release on
-        a sampler constructed with ``retain=True``.
+        Joint counters involving ``name`` are also dropped, as is a
+        pending margin of ``name``. Releasing an attribute that was never
+        counted is a no-op, as is any release on a sampler constructed
+        with ``retain=True``.
         """
         if self._retain:
             return
+        self._pending.pop(name, None)
         self._marginals.pop(name, None)
         for key in [k for k in self._joints if name in k]:
             self._joints.pop(key)

@@ -532,3 +532,171 @@ class TestBackendEquivalence:
                 stats.counting_seconds + stats.bounds_seconds
                 <= stats.wall_seconds
             )
+
+
+# ----------------------------------------------------------------------
+# count_pairs: the joint kernel
+# ----------------------------------------------------------------------
+PAIR_SUPPORTS = {"t": 8, "a": 3, "b": 22, "c": 4096, "d": 4097}
+
+
+def pair_store(num_rows: int = 1500) -> ColumnStore:
+    """Supports giving int16 (8·22), boundary (8·4096) and int32 (8·4097) codes."""
+    rng = np.random.default_rng(41)
+    columns = {}
+    for name, support in PAIR_SUPPORTS.items():
+        column = rng.integers(0, support, size=num_rows)
+        column[rng.random(num_rows) < 0.2] = support - 1  # the largest code
+        columns[name] = column
+    return ColumnStore(columns, PAIR_SUPPORTS)
+
+
+def expected_pairs(store, first, seconds, rows) -> list[np.ndarray]:
+    u1 = store.support_size(first)
+    block = np.asarray(store.column(first)[rows], dtype=np.int64)
+    return [
+        np.bincount(
+            block * store.support_size(second) + store.column(second)[rows],
+            minlength=u1 * store.support_size(second),
+        )
+        for second in seconds
+    ]
+
+
+class TestCountPairs:
+    @pytest.mark.parametrize("store_kind", ["memory", "mmap"])
+    @pytest.mark.parametrize("rows_kind", ["sorted", "slice"])
+    def test_numpy_and_pooled_process_are_bit_identical(
+        self, tmp_path, store_kind, rows_kind
+    ):
+        store = pair_store()
+        if store_kind == "mmap":
+            store = MmapStore.from_column_store(store, tmp_path / "store")
+        seconds = ["a", "b", "c", "d"]
+        if rows_kind == "sorted":
+            rows = np.sort(np.random.default_rng(3).permutation(1500)[300:1100])
+        else:
+            rows = slice(300, 1100)
+        expected = expected_pairs(store, "t", seconds, rows)
+        arguments = (
+            store.column("t"),
+            store.support_size("t"),
+            [store.column(name) for name in seconds],
+            [store.support_size(name) for name in seconds],
+            rows,
+        )
+        serial = NumpyBackend().count_pairs(*arguments)
+        with ProcessBackend(max_workers=2, min_parallel_cells=0) as pooled:
+            parallel = pooled.count_pairs(*arguments)
+            assert pooled._executor is not None  # the pool path ran
+        for got_serial, got_parallel, want in zip(serial, parallel, expected):
+            assert got_serial.dtype == got_parallel.dtype == np.int64
+            np.testing.assert_array_equal(got_serial, want)
+            np.testing.assert_array_equal(got_parallel, want)
+
+    def test_empty_batch(self):
+        store = pair_store(20)
+        for backend in (NumpyBackend(), ProcessBackend(max_workers=2)):
+            out = backend.count_pairs(store.column("t"), 8, [], [], slice(0, 20))
+            assert out == []
+
+    def test_margins_are_the_marginal_counts(self):
+        store = pair_store()
+        rows = np.sort(np.random.default_rng(5).permutation(1500)[:600])
+        (delta,) = NumpyBackend().count_pairs(
+            store.column("t"), 8, [store.column("b")], [22], rows
+        )
+        table = delta.reshape(8, 22)
+        np.testing.assert_array_equal(
+            table.sum(axis=1), np.bincount(store.column("t")[rows], minlength=8)
+        )
+        np.testing.assert_array_equal(
+            table.sum(axis=0), np.bincount(store.column("b")[rows], minlength=22)
+        )
+
+
+class TestResolveBackendMethods:
+    class _MarginalOnly:
+        name = "marginal-only"
+
+        def count_columns(self, columns, support_sizes, rows):
+            return NumpyBackend().count_columns(columns, support_sizes, rows)
+
+    class _PairsOnly:
+        name = "pairs-only"
+
+        def count_pairs(self, first, first_support, columns, support_sizes, rows):
+            return NumpyBackend().count_pairs(
+                first, first_support, columns, support_sizes, rows
+            )
+
+    def test_missing_count_pairs_named(self):
+        with pytest.raises(ParameterError, match=r"missing count_pairs\)"):
+            resolve_backend(self._MarginalOnly())  # type: ignore[arg-type]
+
+    def test_missing_count_columns_named(self):
+        with pytest.raises(ParameterError, match=r"missing count_columns\)"):
+            resolve_backend(self._PairsOnly())  # type: ignore[arg-type]
+
+    def test_both_missing_named(self):
+        with pytest.raises(
+            ParameterError, match="missing count_columns, count_pairs"
+        ):
+            resolve_backend(object())  # type: ignore[arg-type]
+
+
+class _ReadCountingColumn:
+    """A column handle recording every ``column[rows]`` gather."""
+
+    def __init__(self, array: np.ndarray, name: str, reads: dict[str, int]):
+        self._array = array
+        self._name = name
+        self._reads = reads
+
+    def __getitem__(self, rows):
+        self._reads[self._name] = self._reads.get(self._name, 0) + 1
+        return self._array[rows]
+
+
+class _ReadCountingSource:
+    """A ColumnSource wrapper whose column handles count their gathers."""
+
+    def __init__(self, store: ColumnStore):
+        self._store = store
+        self.reads: dict[str, int] = {}
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._store
+
+    def column(self, name: str) -> _ReadCountingColumn:
+        return _ReadCountingColumn(self._store.column(name), name, self.reads)
+
+    def __getattr__(self, attribute: str):
+        return getattr(self._store, attribute)
+
+
+class TestOneGatherPerIteration:
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_mi_iteration_reads_each_column_once(self, sequential):
+        store = random_store(13, num_rows=800, num_columns=7)
+        source = _ReadCountingSource(store)
+        sampler = PrefixSampler(
+            source,  # type: ignore[arg-type]
+            seed=13,
+            sequential=sequential,
+            backend="numpy",
+        )
+        target, *candidates = store.attributes
+        provider = MutualInformationScoreProvider(sampler, target, 0.01)
+        reference = MutualInformationScoreProvider(
+            PrefixSampler(store, seed=13, sequential=sequential, backend="numpy"),
+            target,
+            0.01,
+        )
+        for sample_size in (50, 200, 800):
+            source.reads.clear()
+            got = provider.intervals(candidates, sample_size)
+            assert source.reads == {name: 1 for name in store.attributes}
+            want = reference.intervals(candidates, sample_size)
+            assert got == want
+        assert sampler.cells_scanned == 3 * 800 * len(candidates) + 800

@@ -96,3 +96,31 @@ class TestErrors:
             counter.count_of(2, 0)
         with pytest.raises(ParameterError, match="outside supports"):
             counter.count_of(0, -1)
+
+
+class TestAddTable:
+    def test_table_and_transpose_match_update(self):
+        rng = np.random.default_rng(4)
+        first = rng.integers(0, 3, 200)
+        second = rng.integers(0, 5, 200)
+        table = np.zeros((3, 5), dtype=np.int64)
+        np.add.at(table, (first, second), 1)
+        expected = JointCounter(3, 5)
+        expected.update(first, second)
+        direct = JointCounter(3, 5)
+        direct.add_table(table)
+        transposed = JointCounter(5, 3)
+        transposed.add_table(table.T)
+        assert direct.total == transposed.total == expected.total == 200
+        for i in range(3):
+            for j in range(5):
+                assert direct.count_of(i, j) == expected.count_of(i, j)
+                assert transposed.count_of(j, i) == expected.count_of(i, j)
+
+    def test_sparse_counter_rejected(self):
+        with pytest.raises(ParameterError, match="dense"):
+            JointCounter(3, 5, dense_limit=1).add_table(np.zeros((3, 5), int))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ParameterError, match="shape"):
+            JointCounter(3, 5).add_table(np.zeros((5, 3), int))
