@@ -25,10 +25,13 @@ naming the fingerprint (enforced tree-wide by analysis rule SWP017).
 
 On disk each partition is one JSON file using the checkpoint envelope
 discipline (format marker, schema version, payload sha256, atomic
-replace via :mod:`repro.durability.atomic`). Unlike checkpoints,
-though, a bad cache file is *not* an error: a cache miss is always
-safe, so corruption, version skew, or checksum mismatch silently
-degrade to an empty partition and the run proceeds cold.
+replace via :mod:`repro.durability.atomic`). The payload is serialized
+once on flush, and on load the sha256 is checked against the payload
+bytes as they appear in the file, so a file must be byte for byte what
+was written. Unlike checkpoints, though, a bad cache file is *not* an
+error: a cache miss is always safe, so corruption, version skew, or
+checksum mismatch silently degrade to an empty partition and the run
+proceeds cold.
 """
 
 from __future__ import annotations
@@ -50,8 +53,10 @@ from repro.durability.checkpoint import (
     decode_joint_snapshot,
     encode_array,
     encode_joint_snapshot,
+    envelope_intact,
     result_from_payload,
     result_to_payload,
+    seal_envelope,
 )
 from repro.exceptions import CheckpointError
 
@@ -543,17 +548,15 @@ class PlanCache:
             part.fingerprint, part.shuffle
         )
         try:
-            document = json.loads(path.read_text(encoding="utf-8"))
+            raw = path.read_bytes()
+            document = json.loads(raw)
             if document.get("format") != CACHE_FORMAT:
                 return
             if document.get("schema_version") != CACHE_SCHEMA_VERSION:
                 return  # stale schema: start cold, never migrate
+            if not envelope_intact(raw, document):
+                return  # corrupt or not as written: start cold
             payload = document["payload"]
-            digest = hashlib.sha256(
-                _canonical(payload).encode("utf-8")
-            ).hexdigest()
-            if document.get("sha256") != digest:
-                return  # corrupt: start cold
             if (
                 payload.get("fingerprint") != part.fingerprint
                 or payload.get("shuffle") != part.shuffle
@@ -572,18 +575,13 @@ class PlanCache:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
         for part in dirty:
-            payload = part.to_payload()
-            envelope = {
-                "format": CACHE_FORMAT,
-                "schema_version": CACHE_SCHEMA_VERSION,
-                "sha256": hashlib.sha256(
-                    _canonical(payload).encode("utf-8")
-                ).hexdigest(),
-                "payload": payload,
-            }
             atomic_write_text(
                 self.directory
                 / partition_filename(part.fingerprint, part.shuffle),
-                json.dumps(envelope, sort_keys=True, separators=(",", ":")),
+                seal_envelope(
+                    CACHE_FORMAT,
+                    CACHE_SCHEMA_VERSION,
+                    _canonical(part.to_payload()),
+                ),
             )
             part.mark_clean()

@@ -32,7 +32,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.core.bounds import entropy_interval
+from repro.core.bounds import bias_bound, permutation_half_width
 from repro.core.engine import (
     default_failure_probability,
     validate_failure_probability,
@@ -59,12 +59,40 @@ class CostEstimate:
     predicted_cells: int
 
 
-def _interval_parts(
-    support: int, sample_size: int, population: int, per_bound: float
-) -> tuple[float, float]:
-    """``(λ, b)`` of one entropy bound — data-independent Lemma 3 terms."""
-    iv = entropy_interval(0.0, support, sample_size, population, per_bound)
-    return iv.half_width, iv.width - 2.0 * iv.half_width
+class _LemmaTerms:
+    """The data-independent Lemma 3 terms of one estimate, each computed once.
+
+    ``λ(M)`` depends only on ``(M, N, p)`` and ``b(u, M)`` only on
+    ``(u, M, N)``, so every candidate (and each of the three MI bounds)
+    of one query shares them. The scalar functions of
+    :mod:`repro.core.bounds` evaluate both, and ``b`` is recovered as
+    ``width - 2λ`` exactly as :class:`~repro.core.bounds.ConfidenceInterval`
+    reports it, so every prediction is bit-for-bit what per-candidate
+    ``entropy_interval`` calls would give.
+    """
+
+    def __init__(self, population: int, per_bound: float) -> None:
+        self._population = population
+        self._per_bound = per_bound
+        self._half_widths: dict[int, float] = {}
+        self._biases: dict[tuple[int, int], float] = {}
+
+    def half_width(self, size: int) -> float:
+        lam = self._half_widths.get(size)
+        if lam is None:
+            lam = permutation_half_width(size, self._population, self._per_bound)
+            self._half_widths[size] = lam
+        return lam
+
+    def bias(self, support: int, size: int) -> float:
+        key = (support, size)
+        bias = self._biases.get(key)
+        if bias is None:
+            lam = self.half_width(size)
+            width = 2.0 * lam + bias_bound(support, size, self._population)
+            bias = width - 2.0 * lam
+            self._biases[key] = bias
+        return bias
 
 
 class CostModel:
@@ -119,20 +147,26 @@ class CostModel:
             bounds_per_attribute=3 if mutual else 1,
         )
         target_support = supports.get(target or "", 2)
+        terms = _LemmaTerms(population, per_bound)
+        retire_by_support: dict[int, int] = {}
         predicted_m = 0
         cells = 0
         for name in names:
-            retire = self._retirement_size(
-                schedule,
-                population,
-                per_bound,
-                kind=kind,
-                mutual=mutual,
-                support=supports[name],
-                target_support=target_support,
-                epsilon=epsilon,
-                threshold=threshold,
-            )
+            support = supports[name]
+            retire = retire_by_support.get(support)
+            if retire is None:
+                retire = self._retirement_size(
+                    schedule,
+                    population,
+                    terms,
+                    kind=kind,
+                    mutual=mutual,
+                    support=support,
+                    target_support=target_support,
+                    epsilon=epsilon,
+                    threshold=threshold,
+                )
+                retire_by_support[support] = retire
             predicted_m = max(predicted_m, retire)
             cells += (3 if mutual else 1) * retire
         if mutual:
@@ -146,7 +180,7 @@ class CostModel:
         self,
         schedule: SampleSchedule,
         population: int,
-        per_bound: float,
+        terms: _LemmaTerms,
         *,
         kind: str,
         mutual: bool,
@@ -167,14 +201,11 @@ class CostModel:
         for size in schedule.sizes:
             if size >= population:
                 break
-            lam, bias = _interval_parts(support, size, population, per_bound)
+            lam = terms.half_width(size)
+            bias = terms.bias(support, size)
             if mutual:
-                _, bias_t = _interval_parts(
-                    target_support, size, population, per_bound
-                )
-                _, bias_j = _interval_parts(
-                    support * target_support, size, population, per_bound
-                )
+                bias_t = terms.bias(target_support, size)
+                bias_j = terms.bias(support * target_support, size)
                 width = 6.0 * lam + bias_t + bias + bias_j
             else:
                 width = 2.0 * lam + bias

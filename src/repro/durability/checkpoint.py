@@ -66,12 +66,14 @@ __all__ = [
     "encode_array",
     "encode_joint_snapshot",
     "encode_sampler_state",
+    "envelope_intact",
     "load_checkpoint",
     "loop_state_from_payload",
     "loop_state_to_payload",
     "result_from_payload",
     "result_to_payload",
     "save_checkpoint",
+    "seal_envelope",
     "store_fingerprint",
 ]
 
@@ -483,6 +485,59 @@ def _canonical(payload: dict[str, Any]) -> str:
     )
 
 
+def _envelope_parts(
+    fmt: object, schema_version: object, digest: object
+) -> tuple[str, str]:
+    """The envelope text before and after its payload.
+
+    ``json.dumps`` with sorted keys writes ``format``, ``payload``,
+    ``schema_version``, ``sha256`` in that order, so the payload sits
+    between a fixed head and a tail that holds the version and digest.
+    """
+    head = f'{{"format":{json.dumps(fmt)},"payload":'
+    tail = (
+        f',"schema_version":{json.dumps(schema_version)},'
+        f'"sha256":{json.dumps(digest)}}}'
+    )
+    return head, tail
+
+
+def seal_envelope(fmt: str, schema_version: int, payload_text: str) -> str:
+    """The sealed envelope around an already-canonical payload text.
+
+    Byte-identical to ``json.dumps({"format": fmt, "schema_version":
+    schema_version, "sha256": <digest>, "payload": payload},
+    sort_keys=True, separators=(",", ":"))`` with the digest taken over
+    ``payload_text`` — but the payload is serialized only once, by the
+    caller.
+    """
+    digest = hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
+    head, tail = _envelope_parts(fmt, schema_version, digest)
+    return head + payload_text + tail
+
+
+def envelope_intact(raw: bytes, envelope: dict[str, Any]) -> bool:
+    """Whether ``raw`` is the sealed form of its parsed ``envelope``.
+
+    Checks the sha256 against the payload bytes exactly as they appear
+    in ``raw``, without re-serializing the payload. A file that is not
+    byte for byte what :func:`seal_envelope` writes (re-indented,
+    extra keys, a non-canonical payload) fails like a corrupt one.
+    """
+    head, tail = _envelope_parts(
+        envelope.get("format"),
+        envelope.get("schema_version"),
+        envelope.get("sha256"),
+    )
+    head_bytes, tail_bytes = head.encode("utf-8"), tail.encode("utf-8")
+    if len(raw) < len(head_bytes) + len(tail_bytes):
+        return False
+    if not (raw.startswith(head_bytes) and raw.endswith(tail_bytes)):
+        return False
+    payload_bytes = raw[len(head_bytes) : len(raw) - len(tail_bytes)]
+    return hashlib.sha256(payload_bytes).hexdigest() == envelope.get("sha256")
+
+
 def save_checkpoint(checkpoint: PlanCheckpoint, path: Union[str, Path]) -> int:
     """Atomically write ``checkpoint`` to ``path``; return bytes written.
 
@@ -498,15 +553,8 @@ def save_checkpoint(checkpoint: PlanCheckpoint, path: Union[str, Path]) -> int:
         "specs": checkpoint.specs,
         "progress": checkpoint.progress,
     }
-    canonical = _canonical(payload)
-    envelope = {
-        "format": CHECKPOINT_FORMAT,
-        "schema_version": checkpoint.schema_version,
-        "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-        "payload": payload,
-    }
-    text = json.dumps(
-        envelope, sort_keys=True, separators=(",", ":"), default=_json_default
+    text = seal_envelope(
+        CHECKPOINT_FORMAT, checkpoint.schema_version, _canonical(payload)
     )
     atomic_write_text(path, text)
     return len(text.encode("utf-8"))

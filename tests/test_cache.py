@@ -14,12 +14,15 @@ Covers the three layers the ISSUE's bit-identity gate cares about:
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.cache.store as cache_store
 from repro.cache import (
     CACHE_FORMAT,
     CACHE_SCHEMA_VERSION,
@@ -145,14 +148,13 @@ def test_defective_partition_degrades_to_cold(tmp_path: Path, tamper: str) -> No
         path.write_text(json.dumps(document))  # sha256 now stale
     elif tamper == "foreign":
         document["payload"]["fingerprint"] = "0" * 64
-        # Re-seal so only the partition identity is wrong.
-        import hashlib
-
+        # Re-seal in the written form so only the partition identity is
+        # wrong.
         canonical = json.dumps(
             document["payload"], sort_keys=True, separators=(",", ":")
         )
         document["sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document, sort_keys=True, separators=(",", ":")))
 
     # The defective file must behave exactly like no cache at all: the
     # run goes cold (scans cells) but still lands on the same answer.
@@ -172,6 +174,180 @@ def test_partition_requires_fingerprints() -> None:
 def test_executor_rejects_cache_and_cache_dir(tmp_path: Path) -> None:
     with pytest.raises(ParameterError):
         PlanExecutor(_store(), seed=SEED, cache=PlanCache(), cache_dir=tmp_path)
+
+
+# ----------------------------------------------------------------------
+# Envelope: serialized once on flush, verified byte for byte on load
+# ----------------------------------------------------------------------
+
+GOLDEN_PARTITION = Path(__file__).parent / "golden" / "cache_partition_v1.json"
+
+
+def _fixture_store() -> ColumnStore:
+    """The store ``golden/cache_partition_v1.json`` was written for.
+
+    Its columns are arithmetic, and the fixture run reads rows in
+    sequential order, so the partition's file name and contents do not
+    depend on a random generator or the numpy version.
+    """
+    i = np.arange(240)
+    return ColumnStore(
+        {
+            "a": i % 6,
+            "b": (i * 7 + i // 5) % 4,
+            "c": (i // 3 + i * i) % 3,
+            "t": (i * 5 + i // 7) % 5,
+        }
+    )
+
+
+def _fixture_specs() -> list[QuerySpec]:
+    return [
+        QuerySpec(kind="top_k", score="entropy", k=1, epsilon=0.5, prune=False),
+        QuerySpec(
+            kind="filter", score="mutual_information", threshold=0.05,
+            epsilon=0.5, target="t",
+        ),
+    ]
+
+
+def _json_dumps_envelope(payload: dict) -> bytes:
+    """The envelope as one ``json.dumps`` call over the whole document."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    envelope = {
+        "format": CACHE_FORMAT,
+        "schema_version": CACHE_SCHEMA_VERSION,
+        "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        "payload": payload,
+    }
+    text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+    return text.encode("utf-8")
+
+
+def _absorb(part: CachePartition, name: str, counts: list[int]) -> None:
+    part.absorb_sampler_state(
+        {
+            "marginals": {
+                name: {"counted": sum(counts), "counts": np.array(counts)}
+            },
+            "joints": [],
+        }
+    )
+
+
+def test_flush_bytes_equal_json_dumps_envelope(tmp_path: Path) -> None:
+    store = _store()
+    cache = PlanCache(tmp_path)
+    PlanExecutor(store, seed=SEED, cache=cache).execute(
+        plan_queries(store, _specs())
+    )
+    path = _partition_path(store, tmp_path)
+    part = cache.partition(
+        fingerprint=store.fingerprint(),
+        shuffle=PlanExecutor(store, seed=SEED).sampler.shuffle_fingerprint(),
+    )
+    assert part.to_payload()["joints"]  # the MI query cached joint blocks
+    assert path.read_bytes() == _json_dumps_envelope(part.to_payload())
+
+
+def test_canonical_once_per_dirty_partition_and_never_on_load(
+    tmp_path: Path, monkeypatch
+) -> None:
+    calls: list[int] = []
+    real_canonical = cache_store._canonical
+
+    def counting(payload):
+        calls.append(1)
+        return real_canonical(payload)
+
+    monkeypatch.setattr(cache_store, "_canonical", counting)
+    cache = PlanCache(tmp_path)
+    first = cache.partition(fingerprint="a" * 64, shuffle="s" * 64)
+    second = cache.partition(fingerprint="b" * 64, shuffle="s" * 64)
+    cache.partition(fingerprint="c" * 64, shuffle="s" * 64)  # stays clean
+    _absorb(first, "x", [2, 3])
+    _absorb(second, "y", [1, 4, 0])
+    cache.flush()
+    assert len(calls) == 2
+    cache.flush()  # nothing dirty: nothing serialized
+    assert len(calls) == 2
+
+    calls.clear()
+    reloaded = PlanCache(tmp_path).partition(fingerprint="a" * 64, shuffle="s" * 64)
+    assert calls == []
+    best = reloaded.best_marginal("x", 0, 10)
+    assert best is not None and best[0] == 5
+    assert best[1].tolist() == [2, 3]
+
+
+def _loaded_payload(directory: Path, part: CachePartition) -> dict:
+    return (
+        PlanCache(directory)
+        .partition(fingerprint=part.fingerprint, shuffle=part.shuffle)
+        .to_payload()
+    )
+
+
+@pytest.mark.parametrize("defect", ["flipped_byte", "reindented", "reindented_payload"])
+def test_partition_not_as_written_loads_empty(tmp_path: Path, defect: str) -> None:
+    cache = PlanCache(tmp_path)
+    part = cache.partition(fingerprint="a" * 64, shuffle="s" * 64)
+    _absorb(part, "x", [2, 3, 7])
+    cache.flush()
+    path = tmp_path / partition_filename(part.fingerprint, part.shuffle)
+    raw = path.read_bytes()
+    assert _loaded_payload(tmp_path, part)["marginals"]  # intact: served
+
+    document = json.loads(raw)
+    if defect == "flipped_byte":
+        # One digit of the payload changes; the file stays valid JSON.
+        at = raw.index(b'"counted":') + len(b'"counted":')
+        flipped = b"9" if raw[at : at + 1] != b"9" else b"8"
+        path.write_bytes(raw[:at] + flipped + raw[at + 1 :])
+    elif defect == "reindented":
+        path.write_text(json.dumps(document, sort_keys=True, indent=2))
+    else:
+        # Same envelope bytes around a payload that is not canonical.
+        canonical = json.dumps(
+            document["payload"], sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        reindented = json.dumps(
+            document["payload"], sort_keys=True, indent=1
+        ).encode("utf-8")
+        path.write_bytes(raw.replace(canonical, reindented))
+    assert json.loads(path.read_bytes())["sha256"] == document["sha256"]
+
+    assert _loaded_payload(tmp_path, part) == {
+        "fingerprint": part.fingerprint,
+        "shuffle": part.shuffle,
+        "marginals": {},
+        "joints": [],
+        "answers": [],
+    }
+
+
+def test_golden_partition_served_warm(tmp_path: Path) -> None:
+    # The fixture was written by the two-pass json.dumps envelope of
+    # schema version 1; this build must still serve it, without
+    # rewriting it, with the answers a cold run gives.
+    assert CACHE_SCHEMA_VERSION == 1
+    store = _fixture_store()
+    name = partition_filename(store.fingerprint(), "sequential")
+    warm_dir = tmp_path / "warm"
+    warm_dir.mkdir()
+    shutil.copyfile(GOLDEN_PARTITION, warm_dir / name)
+    warm = PlanExecutor(store, sequential=True, cache_dir=warm_dir).execute(
+        plan_queries(store, _fixture_specs())
+    )
+    assert warm.stats.cells_scanned == 0
+    assert (warm_dir / name).read_bytes() == GOLDEN_PARTITION.read_bytes()
+
+    cold_dir = tmp_path / "cold"
+    cold = PlanExecutor(store, sequential=True, cache_dir=cold_dir).execute(
+        plan_queries(store, _fixture_specs())
+    )
+    assert cold.stats.cells_scanned > 0
+    assert _payloads(warm) == _payloads(cold)
 
 
 # ----------------------------------------------------------------------

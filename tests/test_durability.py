@@ -20,6 +20,7 @@ Four layers:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -160,6 +161,36 @@ class TestCheckpointEnvelope:
         snapshot = load_checkpoint(path)
         n = save_checkpoint(snapshot, tmp_path / "copy.ckpt")
         assert n == (tmp_path / "copy.ckpt").stat().st_size > 0
+
+    def test_save_matches_two_pass_envelope_bytes(self, store, tmp_path):
+        # save_checkpoint serializes the payload once and seals the
+        # envelope around it; the bytes must equal the two-pass form
+        # (sha256 over the canonical payload, then json.dumps of the
+        # whole envelope) that earlier builds wrote.
+        path, _ = _write_checkpoint(store, tmp_path)
+        snapshot = load_checkpoint(path)
+        save_checkpoint(snapshot, tmp_path / "copy.ckpt")
+        payload = {
+            "dataset": snapshot.dataset,
+            "executor": snapshot.executor,
+            "sampler": snapshot.sampler,
+            "specs": snapshot.specs,
+            "progress": snapshot.progress,
+        }
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        two_pass = json.dumps(
+            {
+                "format": CHECKPOINT_FORMAT,
+                "schema_version": snapshot.schema_version,
+                "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+                "payload": payload,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert CHECKPOINT_SCHEMA_VERSION == 3
+        assert (tmp_path / "copy.ckpt").read_bytes() == two_pass.encode("utf-8")
+        assert path.read_bytes() == two_pass.encode("utf-8")
 
     def test_refuses_future_schema_version(self, store, tmp_path):
         path, _ = _write_checkpoint(store, tmp_path)
