@@ -1,8 +1,8 @@
-"""Feature benchmark — QuerySession amortisation across queries.
+"""Feature benchmark — shared-executor amortisation across queries.
 
 Beyond the paper: the prefix substrate lets a session of related queries
 share samples. This bench runs the same three-query exploration once with
-a shared session and once with fresh samplers, and records the saving.
+a shared executor and once with fresh executors, and records the saving.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ import pytest
 
 import _bench_config as cfg
 from repro.core.filtering import swope_filter_entropy
-from repro.core.session import QuerySession
+from repro.core.plan import QuerySession
 from repro.core.topk import swope_top_k_entropy
-from repro.data.sampling import PrefixSampler
 
 
 @pytest.mark.parametrize("dataset_key", cfg.DATASET_KEYS)
@@ -31,13 +30,11 @@ def test_session_amortisation(benchmark, dataset_key, mode):
     def run_fresh():
         total = 0
         total += swope_top_k_entropy(
-            store, 4, epsilon=0.1,
-            sampler=PrefixSampler(store, sequential=True),
+            store, 4, epsilon=0.1, sequential=True
         ).stats.cells_scanned
         for threshold in (2.0, 1.0):
             total += swope_filter_entropy(
-                store, threshold, epsilon=0.05,
-                sampler=PrefixSampler(store, sequential=True),
+                store, threshold, epsilon=0.05, sequential=True
             ).stats.cells_scanned
         return total
 

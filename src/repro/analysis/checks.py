@@ -708,10 +708,10 @@ def _check_direct_output(context: ModuleContext) -> Iterator[Violation]:
 _ADAPTIVE_LOOPS = {"adaptive_top_k", "adaptive_filter", "run_adaptive"}
 
 #: Modules allowed to touch the loops directly: the engine defines them,
-#: the planner's ``run_query_spec`` is the single sanctioned dispatch
-#: point (the four ``swope_*`` entry points are spec wrappers over it),
-#: and the exact-stopping baselines drive ``run_adaptive`` with their
-#: own rules.
+#: the planner's ``PlanExecutor.execute_one`` is the single sanctioned
+#: dispatch point (plans, the executor's query methods and the four
+#: ``swope_*`` entry points all run through it), and the exact-stopping
+#: baselines drive ``run_adaptive`` with their own rules.
 _ADAPTIVE_LOOP_MODULES = {
     "repro.core.engine",
     "repro.core.plan",
@@ -730,8 +730,8 @@ _ADAPTIVE_LOOP_MODULES = {
 def _check_planner_seam(context: ModuleContext) -> Iterator[Violation]:
     """Keep the adaptive loops behind the query-planner seam.
 
-    :func:`repro.core.plan.run_query_spec` is the single place that
-    builds providers, schedules, and failure budgets before entering
+    :meth:`repro.core.plan.PlanExecutor.execute_one` is the single place
+    that builds providers, schedules, and failure budgets before entering
     :func:`~repro.core.engine.adaptive_top_k` /
     :func:`~repro.core.engine.adaptive_filter` (or the rule-generic
     :func:`~repro.core.engine.run_adaptive`, which only the
@@ -764,9 +764,9 @@ def _check_planner_seam(context: ModuleContext) -> Iterator[Violation]:
                 this,
                 node,
                 f"{name}() outside repro.core.plan: build a QuerySpec and"
-                " call run_query_spec (or a swope_* entry point) so budgets,"
-                " shared-scan accounting, and plan events stay wired, or"
-                " '# noqa: SWP011' with a justification",
+                " run it with PlanExecutor.execute_one (or a swope_* entry"
+                " point) so budgets, shared-scan accounting, and plan events"
+                " stay wired, or '# noqa: SWP011' with a justification",
             )
 
 
@@ -879,7 +879,7 @@ _CACHE_PACKAGE = "repro.cache"
 _PARTITION_KEYS = {"fingerprint", "shuffle"}
 
 
-def _looks_like_cache_partition_call(node: ast.Call) -> bool:
+def _partition_call_is_cache_access(node: ast.Call) -> bool:
     """Whether a ``.partition(...)`` call is cache access, not ``str.partition``.
 
     ``str.partition(sep)`` takes exactly one positional argument and no
@@ -939,7 +939,7 @@ def _check_cache_fingerprints(context: ModuleContext) -> Iterator[Violation]:
         chain = _attribute_chain(node.func)
         if chain is None or chain[-1] != "partition":
             continue
-        if not _looks_like_cache_partition_call(node):
+        if not _partition_call_is_cache_access(node):
             continue
         missing = sorted(
             _PARTITION_KEYS

@@ -9,9 +9,8 @@ reachability-based rule (SWP014, SWP016) starts from.
 Entry-point contract (kept in sync with ``docs/ANALYSIS.md``):
 
 * module-level functions named ``swope_*`` (the paper-facing API);
-* ``run_query_spec`` (the planner dispatch seam, SWP011's target);
-* public methods (no leading underscore) of ``PlanExecutor`` and
-  ``QuerySession``;
+* public methods (no leading underscore) of ``PlanExecutor`` — among
+  them ``execute_one``, the planner dispatch seam SWP011 guards;
 * ``repro.cli.main`` (the command-line surface).
 """
 
@@ -27,10 +26,10 @@ from repro.analysis.rules import Rule, Violation
 __all__ = ["ProjectContext", "entry_point_keys"]
 
 #: Class names whose public methods are externally callable surfaces.
-_ENTRY_CLASSES = {"PlanExecutor", "QuerySession"}
+_ENTRY_CLASSES = {"PlanExecutor"}
 
 #: Module-level function names that are entry points regardless of prefix.
-_ENTRY_FUNCTIONS = {"run_query_spec", "main"}
+_ENTRY_FUNCTIONS = {"main"}
 
 
 def entry_point_keys(graph: ProjectGraph) -> list[str]:

@@ -29,7 +29,7 @@ def entropy_filter(
     seed: int | np.random.Generator | None = None,
     attributes: list[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sampler: PrefixSampler | None = None,
+    sequential: bool = False,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
@@ -40,15 +40,15 @@ def entropy_filter(
     minus ``epsilon``.
     ``budget``/``cancellation``/``strict`` behave as in the SWOPE engine.
     """
+    sampler = PrefixSampler(store, seed=seed, sequential=sequential)
     query = prepare_query(
         store,
         QuerySpec("filter", "entropy", threshold=threshold, attributes=attributes),
         failure_probability=failure_probability,
-        seed=seed,
         schedule=schedule,
         sampler=sampler,
     )
     return exact_stopping_filter(
-        query.provider, query.sampler, query.names, threshold, query.schedule,
+        query.provider, sampler, query.names, threshold, query.schedule,
         budget=budget, cancellation=cancellation, strict=strict,
     )

@@ -31,7 +31,7 @@ def entropy_rank_top_k(
     seed: int | np.random.Generator | None = None,
     attributes: list[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sampler: PrefixSampler | None = None,
+    sequential: bool = False,
     prune: bool = True,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
@@ -43,15 +43,15 @@ def entropy_rank_top_k(
     ``epsilon`` — this baseline has no approximation knob.
     ``budget``/``cancellation``/``strict`` behave as in the SWOPE engine.
     """
+    sampler = PrefixSampler(store, seed=seed, sequential=sequential)
     query = prepare_query(
         store,
         QuerySpec("top_k", "entropy", k=k, attributes=attributes),
         failure_probability=failure_probability,
-        seed=seed,
         schedule=schedule,
         sampler=sampler,
     )
     return exact_stopping_top_k(
-        query.provider, query.sampler, query.names, k, query.schedule,
+        query.provider, sampler, query.names, k, query.schedule,
         prune=prune, budget=budget, cancellation=cancellation, strict=strict,
     )

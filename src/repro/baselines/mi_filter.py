@@ -28,7 +28,7 @@ def entropy_filter_mutual_information(
     seed: int | np.random.Generator | None = None,
     candidates: list[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sampler: PrefixSampler | None = None,
+    sequential: bool = False,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
@@ -40,6 +40,7 @@ def entropy_filter_mutual_information(
     ``epsilon``.
     ``budget``/``cancellation``/``strict`` behave as in the SWOPE engine.
     """
+    sampler = PrefixSampler(store, seed=seed, sequential=sequential)
     query = prepare_query(
         store,
         QuerySpec(
@@ -50,11 +51,10 @@ def entropy_filter_mutual_information(
             attributes=candidates,
         ),
         failure_probability=failure_probability,
-        seed=seed,
         schedule=schedule,
         sampler=sampler,
     )
     return exact_stopping_filter(
-        query.provider, query.sampler, query.names, threshold, query.schedule,
+        query.provider, sampler, query.names, threshold, query.schedule,
         target=target, budget=budget, cancellation=cancellation, strict=strict,
     )

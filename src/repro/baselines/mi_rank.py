@@ -29,7 +29,7 @@ def entropy_rank_top_k_mutual_information(
     seed: int | np.random.Generator | None = None,
     candidates: list[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sampler: PrefixSampler | None = None,
+    sequential: bool = False,
     prune: bool = True,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
@@ -42,18 +42,18 @@ def entropy_rank_top_k_mutual_information(
     ``epsilon``.
     ``budget``/``cancellation``/``strict`` behave as in the SWOPE engine.
     """
+    sampler = PrefixSampler(store, seed=seed, sequential=sequential)
     query = prepare_query(
         store,
         QuerySpec(
             "top_k", "mutual_information", k=k, target=target, attributes=candidates
         ),
         failure_probability=failure_probability,
-        seed=seed,
         schedule=schedule,
         sampler=sampler,
     )
     return exact_stopping_top_k(
-        query.provider, query.sampler, query.names, k, query.schedule,
+        query.provider, sampler, query.names, k, query.schedule,
         prune=prune, target=target,
         budget=budget, cancellation=cancellation, strict=strict,
     )

@@ -53,10 +53,10 @@ from repro.core.plan import (
     PlanResult,
     PlanStats,
     QueryPlan,
+    QuerySession,
     QuerySpec,
     load_plan,
     plan_queries,
-    run_query_spec,
 )
 from repro.core.results import (
     AttributeEstimate,
@@ -66,7 +66,6 @@ from repro.core.results import (
     TopKResult,
 )
 from repro.core.schedule import SampleSchedule, initial_sample_size, max_iterations
-from repro.core.session import QuerySession
 from repro.core.topk import swope_top_k_entropy
 
 __all__ = [
@@ -109,7 +108,6 @@ __all__ = [
     "mutual_information_interval",
     "permutation_half_width",
     "plan_queries",
-    "run_query_spec",
     "sample_size_for_width",
     "swope_filter_entropy",
     "swope_filter_mutual_information",

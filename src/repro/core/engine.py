@@ -15,7 +15,7 @@ factors the common structure:
 * **One loop** (:func:`run_adaptive`) does everything else: iteration,
   trace events, budgets, checkpoints, run statistics, metrics, strict
   mode. :func:`adaptive_top_k` / :func:`adaptive_filter` are the SWOPE
-  entry points :func:`repro.core.plan.run_query_spec` calls.
+  entry points :meth:`repro.core.plan.PlanExecutor.execute_one` calls.
 
 The unifying observation that makes this factoring exact: for both
 scores the stopping quantity of the top-k rule, ``2λ + b_max`` (entropy)

@@ -15,22 +15,21 @@ smallest gap ``δ`` that dominates the exact EntropyFilter baseline.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, cast
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.core.plan import QuerySpec, run_query_spec
+from repro.core.plan import PlanExecutor
 from repro.core.results import FilterResult
 from repro.core.schedule import SampleSchedule
 from repro.data.backends import CountingBackend
 from repro.data.column_store import ColumnSource
-from repro.data.sampling import PrefixSampler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.cache sits above)
-    from repro.cache import CachePartition, PlanCache
+    from repro.cache import PlanCache
 
 __all__ = ["swope_filter_entropy"]
 
@@ -44,14 +43,14 @@ def swope_filter_entropy(
     seed: int | np.random.Generator | None = None,
     attributes: list[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sampler: PrefixSampler | None = None,
+    sequential: bool = False,
     backend: str | CountingBackend | None = None,
     trace: TraceSink | None = None,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
     metrics: MetricsRegistry | None = None,
-    cache: "PlanCache | CachePartition | None" = None,
+    cache: "PlanCache | None" = None,
 ) -> FilterResult:
     """Answer an approximate entropy filtering query with SWOPE (Algorithm 2).
 
@@ -72,12 +71,9 @@ def swope_filter_entropy(
         Restrict the query to these attributes (default: all).
     schedule:
         Override the sample-size schedule.
-    sampler:
-        Provide a pre-built sampler (sequential sampling, shared counters).
-    backend:
-        Counting backend for a freshly built sampler, as in
-        :func:`repro.core.topk.swope_top_k_entropy` (mutually exclusive
-        with ``sampler=``).
+    sequential, backend:
+        Physical-order reads and the counting backend, as in
+        :func:`repro.core.topk.swope_top_k_entropy`.
     budget, cancellation, strict:
         Resilience controls as in
         :func:`repro.core.topk.swope_top_k_entropy`; a truncated run
@@ -90,7 +86,7 @@ def swope_filter_entropy(
         event stream, a :class:`~repro.obs.metrics.MetricsRegistry`
         aggregates counters and latency histograms.
     cache:
-        Plan cache (or pre-bound partition) as in
+        Plan cache as in
         :func:`repro.core.topk.swope_top_k_entropy` — note semantic
         reuse here: a stored answer at threshold ``η`` can serve any
         ``η′ ≥ η`` whose decisions its history proves.
@@ -102,20 +98,15 @@ def swope_filter_entropy(
         for every examined attribute, run statistics, and the
         :class:`~repro.core.results.GuaranteeStatus` of the run.
     """
-    spec = QuerySpec(
-        kind="filter",
-        score="entropy",
-        threshold=threshold,
-        epsilon=epsilon,
-        attributes=tuple(attributes) if attributes is not None else None,
-    )
-    return cast(
-        FilterResult,
-        run_query_spec(
-            store, spec,
-            failure_probability=failure_probability, seed=seed,
-            schedule=schedule, sampler=sampler, backend=backend,
-            trace=trace, budget=budget, cancellation=cancellation,
-            strict=strict, metrics=metrics, cache=cache,
-        ),
+    return PlanExecutor(
+        store,
+        seed=seed,
+        sequential=sequential,
+        failure_probability=failure_probability,
+        backend=backend,
+        cache=cache,
+    ).filter_entropy(
+        threshold, epsilon=epsilon, attributes=attributes,
+        schedule=schedule, trace=trace, budget=budget,
+        cancellation=cancellation, strict=strict, metrics=metrics,
     )

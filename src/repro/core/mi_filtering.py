@@ -9,22 +9,21 @@ threshold ``η`` per the Definition 6 relaxation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, cast
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.core.plan import QuerySpec, run_query_spec
+from repro.core.plan import PlanExecutor
 from repro.core.results import FilterResult
 from repro.core.schedule import SampleSchedule
 from repro.data.backends import CountingBackend
 from repro.data.column_store import ColumnSource
-from repro.data.sampling import PrefixSampler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.cache sits above)
-    from repro.cache import CachePartition, PlanCache
+    from repro.cache import PlanCache
 
 __all__ = ["swope_filter_mutual_information"]
 
@@ -39,14 +38,14 @@ def swope_filter_mutual_information(
     seed: int | np.random.Generator | None = None,
     candidates: list[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sampler: PrefixSampler | None = None,
+    sequential: bool = False,
     backend: str | CountingBackend | None = None,
     trace: TraceSink | None = None,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
     metrics: MetricsRegistry | None = None,
-    cache: "PlanCache | CachePartition | None" = None,
+    cache: "PlanCache | None" = None,
 ) -> FilterResult:
     """Answer an approximate MI filtering query with SWOPE (Algorithm 4).
 
@@ -63,7 +62,7 @@ def swope_filter_mutual_information(
         Error parameter of Definition 6; paper default ``0.5`` for MI.
     failure_probability:
         ``p_f``; defaults to the paper's ``1/N``.
-    seed, candidates, schedule, sampler, backend:
+    seed, candidates, schedule, sequential, backend:
         As in :func:`repro.core.mi_topk.swope_top_k_mutual_information`.
     budget, cancellation, strict:
         Resilience controls as in
@@ -72,21 +71,15 @@ def swope_filter_mutual_information(
         Observability hooks and the plan cache, as in
         :func:`repro.core.topk.swope_top_k_entropy`.
     """
-    spec = QuerySpec(
-        kind="filter",
-        score="mutual_information",
-        threshold=threshold,
-        epsilon=epsilon,
-        target=target,
-        attributes=tuple(candidates) if candidates is not None else None,
-    )
-    return cast(
-        FilterResult,
-        run_query_spec(
-            store, spec,
-            failure_probability=failure_probability, seed=seed,
-            schedule=schedule, sampler=sampler, backend=backend,
-            trace=trace, budget=budget, cancellation=cancellation,
-            strict=strict, metrics=metrics, cache=cache,
-        ),
+    return PlanExecutor(
+        store,
+        seed=seed,
+        sequential=sequential,
+        failure_probability=failure_probability,
+        backend=backend,
+        cache=cache,
+    ).filter_mutual_information(
+        target, threshold, epsilon=epsilon, candidates=candidates,
+        schedule=schedule, trace=trace, budget=budget,
+        cancellation=cancellation, strict=strict, metrics=metrics,
     )

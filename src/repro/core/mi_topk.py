@@ -15,22 +15,21 @@ entropy top-k query (Definition 5, Theorem 5) with three differences:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, cast
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.core.plan import QuerySpec, run_query_spec
+from repro.core.plan import PlanExecutor
 from repro.core.results import TopKResult
 from repro.core.schedule import SampleSchedule
 from repro.data.backends import CountingBackend
 from repro.data.column_store import ColumnSource
-from repro.data.sampling import PrefixSampler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.cache sits above)
-    from repro.cache import CachePartition, PlanCache
+    from repro.cache import PlanCache
 
 __all__ = ["swope_top_k_mutual_information"]
 
@@ -45,7 +44,7 @@ def swope_top_k_mutual_information(
     seed: int | np.random.Generator | None = None,
     candidates: list[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sampler: PrefixSampler | None = None,
+    sequential: bool = False,
     backend: str | CountingBackend | None = None,
     prune: bool = True,
     trace: TraceSink | None = None,
@@ -53,7 +52,7 @@ def swope_top_k_mutual_information(
     cancellation: CancellationToken | None = None,
     strict: bool = False,
     metrics: MetricsRegistry | None = None,
-    cache: "PlanCache | CachePartition | None" = None,
+    cache: "PlanCache | None" = None,
 ) -> TopKResult:
     """Answer an approximate MI top-k query with SWOPE (Algorithm 3).
 
@@ -75,7 +74,7 @@ def swope_top_k_mutual_information(
     candidates:
         Restrict the candidate set (default: all attributes except
         ``target``).
-    schedule, sampler, backend, prune, budget, cancellation, strict:
+    schedule, sequential, backend, prune, budget, cancellation, strict:
         As in :func:`repro.core.topk.swope_top_k_entropy`.
     trace, metrics, cache:
         Observability hooks and the plan cache, as in
@@ -86,22 +85,15 @@ def swope_top_k_mutual_information(
     TopKResult
         ``result.target`` records the target attribute.
     """
-    spec = QuerySpec(
-        kind="top_k",
-        score="mutual_information",
-        k=k,
-        epsilon=epsilon,
-        target=target,
-        attributes=tuple(candidates) if candidates is not None else None,
-        prune=prune,
-    )
-    return cast(
-        TopKResult,
-        run_query_spec(
-            store, spec,
-            failure_probability=failure_probability, seed=seed,
-            schedule=schedule, sampler=sampler, backend=backend,
-            trace=trace, budget=budget, cancellation=cancellation,
-            strict=strict, metrics=metrics, cache=cache,
-        ),
+    return PlanExecutor(
+        store,
+        seed=seed,
+        sequential=sequential,
+        failure_probability=failure_probability,
+        backend=backend,
+        cache=cache,
+    ).top_k_mutual_information(
+        target, k, epsilon=epsilon, candidates=candidates, prune=prune,
+        schedule=schedule, trace=trace, budget=budget,
+        cancellation=cancellation, strict=strict, metrics=metrics,
     )

@@ -27,6 +27,10 @@ pass. This module is that batch-serving layer:
   its own paper guarantee. Budgets and cancellation apply plan-wide,
   degrading per-query with an honest
   :class:`~repro.core.results.GuaranteeStatus`.
+  :meth:`PlanExecutor.execute_one` is the one path from a spec into the
+  adaptive loop, plan cache included: plans, the executor's four query
+  methods (``top_k_entropy`` ...) and the four ``swope_*`` façades — a
+  one-query run on a fresh executor — all go through it.
 
 Scheduling note (why "interleaved" is a ratchet, not strict lock-step):
 the executor starts each query's schedule at
@@ -35,11 +39,11 @@ any earlier query of the batch reached. Later queries therefore join
 the scan at the frontier the batch has already paid for — their early,
 cheap iterations collapse into counter reuse — while each query's
 per-round failure budget is computed from its own (shorter) actual
-schedule, exactly as in :class:`~repro.core.session.QuerySession`.
-This keeps every single-spec plan bit-identical to its legacy
-``swope_*`` call and a mixed plan bit-identical to the same queries run
-sequentially in a fresh session at the same seed (the regression suite
-in ``tests/test_plan.py`` pins both).
+schedule. A fresh executor's floor is 0, so a single-spec plan runs the
+paper schedule exactly as its ``swope_*`` call does, and a mixed plan is
+bit-identical to the same queries run one by one on a fresh executor at
+the same seed (the regression suite in ``tests/test_plan.py`` pins
+both).
 
 Statistical note: each query's guarantee is individually valid, but the
 queries of one plan share one shuffle, so their *failure events are
@@ -55,7 +59,7 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Union
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Union, cast
 
 import numpy as np
 
@@ -121,11 +125,11 @@ __all__ = [
     "PlanStats",
     "PreparedQuery",
     "QueryPlan",
+    "QuerySession",
     "QuerySpec",
     "load_plan",
     "plan_queries",
     "prepare_query",
-    "run_query_spec",
 ]
 
 #: The two stopping rules (Definitions 5 and 6 of the paper).
@@ -444,42 +448,34 @@ class QueryPlan:
 def _resolved_candidates(store: ColumnSource, spec: QuerySpec) -> list[str]:
     """Resolve a spec's candidate list against ``store``.
 
-    Raises exactly the legacy entry-point errors (same types, same
-    messages) so the planner path and the four ``swope_*`` façades stay
-    behaviour-identical.
+    Unknown names raise :class:`~repro.exceptions.SchemaError`; an MI
+    target among its own candidates and an empty candidate list raise
+    :class:`~repro.exceptions.ParameterError`, so every path that takes
+    a spec fails before any row is read.
     """
+    target = spec.target
     if spec.score == "mutual_information":
-        target = spec.target
         if target is None:  # pragma: no cover - QuerySpec.__post_init__ guards
             raise PlanError("a mutual_information spec needs a target attribute")
         if target not in store:
             raise SchemaError(f"unknown target attribute {target!r}")
-        if spec.attributes is None:
-            names = [a for a in store.attributes if a != target]
-        else:
-            names = list(spec.attributes)
-            unknown = [a for a in names if a not in store]
-            if unknown:
-                raise SchemaError(f"unknown attributes: {unknown}")
-            if target in names:
-                raise ParameterError(
-                    f"target attribute {target!r} cannot also be a candidate"
-                )
-        if not names:
+    if spec.attributes is None:
+        names = [a for a in store.attributes if a != target]
+    else:
+        names = list(spec.attributes)
+        unknown = [a for a in names if a not in store]
+        if unknown:
+            raise SchemaError(f"unknown attributes: {unknown}")
+        if target in names:
             raise ParameterError(
-                "MI top-k query needs at least one candidate attribute"
-                if spec.kind == "top_k"
-                else "MI filtering query needs at least one candidate attribute"
+                f"target attribute {target!r} cannot also be a candidate"
             )
-        return names
-    names = (
-        list(spec.attributes)
-        if spec.attributes is not None
-        else list(store.attributes)
-    )
-    unknown = [a for a in names if a not in store]
-    if unknown:
-        raise SchemaError(f"unknown attributes: {unknown}")
+    if not names:
+        score = "MI" if target is not None else "entropy"
+        shape = "top-k" if spec.kind == "top_k" else "filtering"
+        raise ParameterError(
+            f"{score} {shape} query needs at least one candidate attribute"
+        )
     return names
 
 
@@ -588,26 +584,22 @@ def plan_queries(
         model = CostModel()
         predictions: list[int] = []
         for resolved in normalized:
-            candidates = resolved.attributes or ()
-            if candidates:
-                predictions.append(
-                    model.estimate(
-                        store,
-                        kind=resolved.kind,
-                        score=resolved.score,
-                        epsilon=(
-                            resolved.epsilon
-                            if resolved.epsilon is not None
-                            else PAPER_EPSILON[(resolved.kind, resolved.score)]
-                        ),
-                        candidates=candidates,
-                        target=resolved.target,
-                        threshold=resolved.threshold,
-                        failure_probability=failure_probability,
-                    ).predicted_cells
-                )
-            else:  # pragma: no cover - empty stores cannot build specs
-                predictions.append(0)
+            predictions.append(
+                model.estimate(
+                    store,
+                    kind=resolved.kind,
+                    score=resolved.score,
+                    epsilon=(
+                        resolved.epsilon
+                        if resolved.epsilon is not None
+                        else PAPER_EPSILON[(resolved.kind, resolved.score)]
+                    ),
+                    candidates=resolved.attributes or (),
+                    target=resolved.target,
+                    threshold=resolved.threshold,
+                    failure_probability=failure_probability,
+                ).predicted_cells
+            )
         ranked = sorted(
             range(len(normalized)), key=lambda i: (predictions[i], i)
         )
@@ -685,45 +677,11 @@ class _RecordingProvider:
         return out
 
 
-def _cache_partition(
-    cache: "PlanCache | CachePartition | None",
-    store: ColumnSource,
-    sampler: PrefixSampler,
-) -> "tuple[CachePartition | None, PlanCache | None]":
-    """Resolve a cache argument to the partition matching this run.
-
-    Returns ``(partition, owned_cache)`` — ``owned_cache`` is the
-    :class:`~repro.cache.PlanCache` to flush after the run when the
-    caller handed us the whole cache (façade path); ``None`` when the
-    caller passed a pre-bound partition (executor path, which flushes
-    itself) or no cache at all.
-    """
-    if cache is None:
-        return None, None
-    from repro.cache import CachePartition, PlanCache  # local: layering
-
-    if isinstance(cache, CachePartition):
-        return cache, None
-    if isinstance(cache, PlanCache):
-        from repro.durability.checkpoint import store_fingerprint
-
-        partition = cache.partition(
-            fingerprint=store_fingerprint(store),
-            shuffle=sampler.shuffle_fingerprint(),
-        )
-        return partition, cache
-    raise ParameterError(
-        "cache= must be a PlanCache, a CachePartition, or None;"
-        f" got {type(cache).__name__}"
-    )
-
-
 class PreparedQuery(NamedTuple):
-    """Everything an adaptive loop needs besides its stopping rule."""
+    """Everything an adaptive loop needs besides its sampler and stopping rule."""
 
     names: list[str]
     failure_probability: float
-    sampler: PrefixSampler
     schedule: SampleSchedule
     provider: ScoreProvider
 
@@ -732,38 +690,38 @@ def prepare_query(
     store: ColumnSource,
     spec: QuerySpec,
     *,
+    sampler: PrefixSampler,
     failure_probability: float | None = None,
-    seed: int | np.random.Generator | None = None,
     schedule: SampleSchedule | None = None,
-    sampler: PrefixSampler | None = None,
-    backend: str | CountingBackend | None = None,
+    floor: int = 0,
 ) -> PreparedQuery:
-    """The set-up :func:`run_query_spec` and the exact baselines share.
+    """The set-up :meth:`PlanExecutor.execute_one` and the exact baselines share.
 
-    Resolves the candidates (with the legacy entry points' errors),
-    defaults ``p_f`` to the paper's ``1/N``, and builds the prefix
-    sampler, the sample schedule, and the score provider holding the
-    per-bound failure split.
+    Resolves the candidates (:func:`_resolved_candidates`' errors),
+    defaults ``p_f`` to the paper's ``1/N``, and builds the sample
+    schedule and the score provider over ``sampler`` holding the
+    per-bound failure split. The schedule starts at ``max(M0, floor)``
+    — ``floor`` is the ratchet of a shared sampler whose prefix
+    counters can only grow — unless ``schedule`` is given.
     """
     names = _resolved_candidates(store, spec)
     if failure_probability is None:
         failure_probability = default_failure_probability(store.num_rows)
-    if sampler is None:
-        sampler = PrefixSampler(store, seed=seed, backend=backend)
-    elif backend is not None:
-        raise ParameterError(
-            "pass either sampler= or backend=; a pre-built sampler already"
-            " owns its counting backend"
-        )
     target = spec.target
     mutual = spec.score == "mutual_information"
     if schedule is None:
         schedule_names = [target, *names] if mutual and target is not None else names
+        num_attributes = len(schedule_names)
+        max_support = max(store.support_size(a) for a in schedule_names)
+        m0 = initial_sample_size(
+            store.num_rows, num_attributes, failure_probability, max_support
+        )
         schedule = SampleSchedule.for_query(
             store.num_rows,
-            len(names) + 1 if mutual else len(names),
+            num_attributes,
             failure_probability,
-            max(store.support_size(a) for a in schedule_names),
+            max_support,
+            initial_size=max(m0, floor),
         )
     provider: ScoreProvider
     if mutual:
@@ -776,170 +734,7 @@ def prepare_query(
     else:
         per_bound = schedule.per_round_failure(failure_probability, len(names))
         provider = EntropyScoreProvider(sampler, per_bound)
-    return PreparedQuery(names, failure_probability, sampler, schedule, provider)
-
-
-def run_query_spec(
-    store: ColumnSource,
-    spec: QuerySpec,
-    *,
-    failure_probability: float | None = None,
-    seed: int | np.random.Generator | None = None,
-    schedule: SampleSchedule | None = None,
-    sampler: PrefixSampler | None = None,
-    backend: str | CountingBackend | None = None,
-    trace: TraceSink | None = None,
-    budget: QueryBudget | None = None,
-    cancellation: CancellationToken | None = None,
-    strict: bool = False,
-    metrics: MetricsRegistry | None = None,
-    checkpoint: CheckpointHook | None = None,
-    resume_state: LoopCheckpoint | None = None,
-    cache: "PlanCache | CachePartition | None" = None,
-) -> QueryResult:
-    """Run one spec through the adaptive engine.
-
-    This is the single dispatch point between the declarative layer and
-    :func:`~repro.core.engine.adaptive_top_k` /
-    :func:`~repro.core.engine.adaptive_filter` — the four ``swope_*``
-    entry points are single-spec wrappers over it, and analysis rule
-    SWP011 keeps any other caller from reaching around it. Validation
-    order, defaults, and error messages are exactly the legacy entry
-    points' (the bit-identity suite in ``tests/test_plan.py`` pins
-    this). ``checkpoint``/``resume_state`` pass straight through to the
-    adaptive loops (see :class:`~repro.core.engine.LoopCheckpoint`).
-
-    ``cache`` attaches a :mod:`repro.cache` plan cache (or a pre-bound
-    partition): retired answers are consulted before the engine runs —
-    exact shape matches and semantic dominance serves (η′ ≥ η, k′ ≤ k)
-    — counters warm-start from cached prefixes, and a converged run's
-    answer and counters are written back. Answer reuse is only
-    consulted for unbudgeted, uncancelled, non-resumed runs, so a
-    budgeted run's degradation behaviour is bit-identical with or
-    without a cache.
-    """
-    names, failure_probability, sampler, schedule, provider = prepare_query(
-        store,
-        spec,
-        failure_probability=failure_probability,
-        seed=seed,
-        schedule=schedule,
-        sampler=sampler,
-        backend=backend,
-    )
-    partition, owned_cache = _cache_partition(cache, store, sampler)
-    if partition is not None:
-        sampler.attach_counter_cache(partition)
-    target = spec.target
-    epsilon = (
-        spec.epsilon
-        if spec.epsilon is not None
-        else PAPER_EPSILON[(spec.kind, spec.score)]
-    )
-    param = (
-        float(spec.threshold or 0.0)
-        if spec.kind == "filter"
-        else float(spec.k or 0)
-    )
-    name = spec.name if spec.name is not None else spec.describe()
-    if (
-        partition is not None
-        and budget is None
-        and cancellation is None
-        and resume_state is None
-    ):
-        served = partition.lookup_answer(
-            kind=spec.kind,
-            score=spec.score,
-            epsilon=epsilon,
-            failure_probability=failure_probability,
-            schedule_start=schedule.sizes[0],
-            candidates=tuple(names),
-            target=target,
-            prune=spec.prune,
-            param=param,
-            population_size=store.num_rows,
-        )
-        if served is not None:
-            result: QueryResult = served.result
-            _emit(
-                trace,
-                CacheHitEvent(
-                    name=name,
-                    kind=spec.kind,
-                    score=spec.score,
-                    mode=served.mode,
-                    source_param=served.source_param,
-                    requested_param=param,
-                ),
-            )
-            _emit(
-                trace,
-                AnswerReusedEvent(
-                    name=name,
-                    mode=served.mode,
-                    iterations=result.stats.iterations,
-                    final_sample_size=result.stats.final_sample_size,
-                    cells_saved=result.stats.cells_saved,
-                    answer=tuple(result.attributes),
-                ),
-            )
-            if metrics is not None:
-                record_cache(metrics, hit=True, mode=served.mode)
-                assert result.guarantee is not None  # put_answer refuses others
-                record_query(
-                    metrics,
-                    kind=spec.kind,
-                    score=spec.score,
-                    stats=result.stats,
-                    guarantee=result.guarantee,
-                )
-            if owned_cache is not None:
-                owned_cache.flush()
-            return result
-        _emit(trace, CacheMissEvent(name=name, kind=spec.kind, score=spec.score))
-        if metrics is not None:
-            record_cache(metrics, hit=False)
-    recorder: _RecordingProvider | None = None
-    if partition is not None and resume_state is None:
-        recorder = _RecordingProvider(provider)
-        provider = recorder
-    if spec.kind == "top_k":
-        if spec.k is None:  # pragma: no cover - QuerySpec.__post_init__ guards
-            raise PlanError("a top_k spec needs k")
-        result = adaptive_top_k(
-            provider, sampler, names, spec.k, epsilon, schedule,
-            prune=spec.prune, target=target, trace=trace,
-            budget=budget, cancellation=cancellation, strict=strict,
-            metrics=metrics, checkpoint=checkpoint, resume_state=resume_state,
-        )
-    else:
-        if spec.threshold is None:  # pragma: no cover - __post_init__ guards
-            raise PlanError("a filter spec needs a threshold")
-        result = adaptive_filter(
-            provider, sampler, names, spec.threshold, epsilon, schedule,
-            target=target, trace=trace,
-            budget=budget, cancellation=cancellation, strict=strict,
-            metrics=metrics, checkpoint=checkpoint, resume_state=resume_state,
-        )
-    if partition is not None and recorder is not None:
-        partition.put_answer(
-            kind=spec.kind,
-            score=spec.score,
-            epsilon=epsilon,
-            failure_probability=failure_probability,
-            schedule_start=schedule.sizes[0],
-            candidates=tuple(names),
-            target=target,
-            prune=spec.prune,
-            param=param,
-            history=recorder.history,
-            result=result,
-        )
-    if owned_cache is not None and partition is not None:
-        partition.absorb_sampler_state(sampler.counter_snapshot())
-        owned_cache.flush()
-    return result
+    return PreparedQuery(names, failure_probability, schedule, provider)
 
 
 @dataclass
@@ -1050,9 +845,25 @@ class PlanExecutor:
     grows stays alive, so each count a plan needs is fetched from the
     store exactly once — later queries of the batch (and later plans on
     the same executor) reuse it for free. The starting sample size
-    ratchets to the largest ``M`` any query has reached, exactly as in
-    :class:`~repro.core.session.QuerySession` (which is now a façade
-    over this class).
+    ratchets to the largest ``M`` any query has reached. Starting a
+    query above its ``M0`` is statistically harmless: the Lemma 3
+    interval at a larger ``M`` is tighter, and the per-round failure
+    budget comes from the (shorter) actual schedule.
+
+    Besides whole plans (:meth:`execute`, :meth:`run_plan`), the four
+    SWOPE queries run one at a time through :meth:`top_k_entropy`,
+    :meth:`filter_entropy`, :meth:`top_k_mutual_information` and
+    :meth:`filter_mutual_information`:
+
+    >>> executor = PlanExecutor(store, seed=0)          # doctest: +SKIP
+    >>> executor.top_k_entropy(5)                       # pays for its sample
+    >>> executor.filter_entropy(2.0)                    # reuses those counts
+    >>> executor.marginal_cells()                       # ~ 0
+
+    Every query keeps its own Definition 5/6 guarantee, but queries on
+    one executor share one shuffle, so their failure events are
+    dependent; give each query its own seeded executor when they must
+    be independent. ``QuerySession`` is another name for this class.
 
     Parameters
     ----------
@@ -1240,28 +1051,6 @@ class PlanExecutor:
         self._cache.flush()
 
     # ------------------------------------------------------------------
-    def _schedule_for(self, spec: QuerySpec) -> SampleSchedule:
-        """A paper schedule whose start is ratcheted to the shared floor."""
-        names = _resolved_candidates(self._store, spec)
-        if spec.score == "mutual_information" and spec.target is not None:
-            all_names = [spec.target, *names]
-            num_attributes = len(names) + 1
-        else:
-            all_names = names
-            num_attributes = len(names)
-        max_support = max(self._store.support_size(a) for a in all_names)
-        m0 = initial_sample_size(
-            self._store.num_rows, num_attributes, self._failure, max_support
-        )
-        start = min(self._store.num_rows, max(m0, self._floor))
-        return SampleSchedule.for_query(
-            self._store.num_rows,
-            num_attributes,
-            self._failure,
-            max_support,
-            initial_size=start,
-        )
-
     def execute_one(
         self,
         spec: QuerySpec,
@@ -1272,54 +1061,151 @@ class PlanExecutor:
         strict: bool = False,
         trace: TraceSink | None = _UNSET,
         metrics: MetricsRegistry | None = _UNSET,
-        backend: str | CountingBackend | None = None,
         checkpoint: CheckpointHook | None = None,
         resume_state: LoopCheckpoint | None = None,
         cells_before: int | None = None,
     ) -> QueryResult:
         """Run one spec over the shared sampler, ratcheting the floor.
 
+        This is the single dispatch point between the declarative layer
+        and :func:`~repro.core.engine.adaptive_top_k` /
+        :func:`~repro.core.engine.adaptive_filter`: :meth:`execute`, the
+        four query methods and the four ``swope_*`` façades all run
+        through it, and analysis rule SWP011 keeps any other caller from
+        reaching around it. The schedule starts at the ratchet floor
+        (see :func:`prepare_query`) unless ``schedule`` overrides it.
+
         ``budget``/``trace``/``metrics`` default to the executor-wide
         settings; pass ``None`` explicitly to lift/silence them for one
-        query. A ``backend=`` here is always an error — the shared
-        sampler already owns its backend. ``checkpoint``/
-        ``resume_state``/``cells_before`` are the durability hooks used
-        by :meth:`execute` and :meth:`resume`; ``cells_before`` replays
-        the query's original scan-start meter so the per-query cell
-        accounting of a resumed run matches the uninterrupted one.
+        query. ``checkpoint``/``resume_state``/``cells_before`` are the
+        durability hooks used by :meth:`execute` and :meth:`resume`
+        (see :class:`~repro.core.engine.LoopCheckpoint`);
+        ``cells_before`` replays the query's original scan-start meter
+        so the per-query cell accounting of a resumed run matches the
+        uninterrupted one.
+
+        With a cache attached, retired answers are consulted before the
+        engine runs — exact shape matches and semantic dominance serves
+        (η′ ≥ η, k′ ≤ k) — and a converged run's answer, with the bound
+        history the cache replays, is written back along with the
+        counters. Answer reuse is only consulted for unbudgeted,
+        uncancelled, non-resumed runs, so a budgeted run's degradation
+        behaviour is bit-identical with or without a cache.
         """
-        if backend is not None:
-            raise ParameterError(
-                "pass either sampler= or backend=; a pre-built sampler already"
-                " owns its counting backend"
-            )
         if budget is _UNSET:
             budget = self._budget
         if trace is _UNSET:
             trace = self._trace
         if metrics is _UNSET:
             metrics = self._metrics
-        if schedule is None:
-            schedule = self._schedule_for(spec)
+        names, failure_probability, schedule, provider = prepare_query(
+            self._store,
+            spec,
+            sampler=self._sampler,
+            failure_probability=self._failure,
+            schedule=schedule,
+            floor=self._floor,
+        )
         before = (
             self._sampler.cells_scanned if cells_before is None else cells_before
         )
-        try:
-            result = run_query_spec(
-                self._store,
-                spec,
-                failure_probability=self._failure,
-                sampler=self._sampler,
-                schedule=schedule,
-                trace=trace,
-                budget=budget,
-                cancellation=cancellation,
-                strict=strict,
-                metrics=metrics,
-                checkpoint=checkpoint,
-                resume_state=resume_state,
-                cache=self._partition,
+        epsilon = (
+            spec.epsilon
+            if spec.epsilon is not None
+            else PAPER_EPSILON[(spec.kind, spec.score)]
+        )
+        param = (
+            float(spec.threshold or 0.0)
+            if spec.kind == "filter"
+            else float(spec.k or 0)
+        )
+        # The query shape the cache keys retired answers on.
+        shape: dict[str, Any] = {
+            "kind": spec.kind,
+            "score": spec.score,
+            "epsilon": epsilon,
+            "failure_probability": failure_probability,
+            "schedule_start": schedule.sizes[0],
+            "candidates": tuple(names),
+            "target": spec.target,
+            "prune": spec.prune,
+            "param": param,
+        }
+        partition = self._partition
+        if (
+            partition is not None
+            and budget is None
+            and cancellation is None
+            and resume_state is None
+        ):
+            name = spec.name if spec.name is not None else spec.describe()
+            served = partition.lookup_answer(
+                **shape, population_size=self._store.num_rows
             )
+            if served is not None:
+                _emit(
+                    trace,
+                    CacheHitEvent(
+                        name=name,
+                        kind=spec.kind,
+                        score=spec.score,
+                        mode=served.mode,
+                        source_param=served.source_param,
+                        requested_param=param,
+                    ),
+                )
+                reused = served.result
+                _emit(
+                    trace,
+                    AnswerReusedEvent(
+                        name=name,
+                        mode=served.mode,
+                        iterations=reused.stats.iterations,
+                        final_sample_size=reused.stats.final_sample_size,
+                        cells_saved=reused.stats.cells_saved,
+                        answer=tuple(reused.attributes),
+                    ),
+                )
+                if metrics is not None:
+                    record_cache(metrics, hit=True, mode=served.mode)
+                    assert reused.guarantee is not None  # put_answer refuses others
+                    record_query(
+                        metrics,
+                        kind=spec.kind,
+                        score=spec.score,
+                        stats=reused.stats,
+                        guarantee=reused.guarantee,
+                    )
+                return self._retire(reused, before)
+            _emit(trace, CacheMissEvent(name=name, kind=spec.kind, score=spec.score))
+            if metrics is not None:
+                record_cache(metrics, hit=False)
+        recorder: _RecordingProvider | None = None
+        if partition is not None and resume_state is None:
+            recorder = _RecordingProvider(provider)
+            provider = recorder
+        result: QueryResult
+        try:
+            if spec.kind == "top_k":
+                if spec.k is None:  # pragma: no cover - __post_init__ guards
+                    raise PlanError("a top_k spec needs k")
+                result = adaptive_top_k(
+                    provider, self._sampler, names, spec.k, epsilon, schedule,
+                    prune=spec.prune, target=spec.target, trace=trace,
+                    budget=budget, cancellation=cancellation, strict=strict,
+                    metrics=metrics, checkpoint=checkpoint,
+                    resume_state=resume_state,
+                )
+            else:
+                if spec.threshold is None:  # pragma: no cover - ditto
+                    raise PlanError("a filter spec needs a threshold")
+                result = adaptive_filter(
+                    provider, self._sampler, names, spec.threshold, epsilon,
+                    schedule, target=spec.target, trace=trace,
+                    budget=budget, cancellation=cancellation, strict=strict,
+                    metrics=metrics, checkpoint=checkpoint,
+                    resume_state=resume_state,
+                )
         except QueryInterruptedError as exc:
             # Strict-mode truncation: the shared prefix counters have
             # already grown, so the floor must ratchet to the partial
@@ -1331,8 +1217,14 @@ class PlanExecutor:
             self._last_cells = self._sampler.cells_scanned - before
             self._flush_cache()  # keep the counters the partial run paid for
             raise
+        if partition is not None and recorder is not None:
+            partition.put_answer(**shape, history=recorder.history, result=result)
+        return self._retire(result, before)
+
+    def _retire(self, result: QueryResult, cells_before: int) -> QueryResult:
+        """Account a finished query, ratchet the floor, write the cache back."""
         self._queries_run += 1
-        self._last_cells = self._sampler.cells_scanned - before
+        self._last_cells = self._sampler.cells_scanned - cells_before
         self._floor = max(self._floor, result.stats.final_sample_size)
         self._flush_cache()
         return result
@@ -1384,7 +1276,7 @@ class PlanExecutor:
         restored = self._restored
         self._restored = None
         if restored is not None:
-            self._check_resumed_plan(plan, restored["specs"])
+            self._check_resumed_plan(plan, restored["plan"].specs)
             cells_at_start = restored["plan_cells_at_start"]
             per_query_cells = dict(restored["per_query_cells"])
             for entry_name, entry_result in restored["results"]:
@@ -1581,6 +1473,105 @@ class PlanExecutor:
                 record_plan(metrics, stats=stats)
         return PlanResult(results=results, stats=stats)
 
+    def run_plan(
+        self, specs: Sequence[QuerySpec] | QueryPlan, **kwargs: Any
+    ) -> PlanResult:
+        """:meth:`execute` for raw specs (planned with :func:`plan_queries`
+        against this executor's store) or a pre-built plan."""
+        plan = (
+            specs
+            if isinstance(specs, QueryPlan)
+            else plan_queries(self._store, list(specs))
+        )
+        return self.execute(plan, **kwargs)
+
+    # ------------------------------------------------------------------
+    # The four SWOPE queries, one at a time over the shared sampler.
+    # ``epsilon=None`` takes the paper default, a candidate list of None
+    # means every attribute (minus the target), and other keywords go to
+    # execute_one. Pruning is off by default: a pruned candidate stops
+    # being counted, and later queries would pay to extend its counters.
+    # ------------------------------------------------------------------
+    def top_k_entropy(
+        self,
+        k: int,
+        *,
+        epsilon: float | None = None,
+        attributes: Sequence[str] | None = None,
+        prune: bool = False,
+        **kwargs: Any,
+    ) -> TopKResult:
+        """Algorithm 1: approximate entropy top-k (Definition 5)."""
+        spec = QuerySpec(
+            kind="top_k",
+            score="entropy",
+            k=k,
+            epsilon=epsilon,
+            attributes=None if attributes is None else tuple(attributes),
+            prune=prune,
+        )
+        return cast(TopKResult, self.execute_one(spec, **kwargs))
+
+    def filter_entropy(
+        self,
+        threshold: float,
+        *,
+        epsilon: float | None = None,
+        attributes: Sequence[str] | None = None,
+        **kwargs: Any,
+    ) -> FilterResult:
+        """Algorithm 2: approximate entropy filtering (Definition 6)."""
+        spec = QuerySpec(
+            kind="filter",
+            score="entropy",
+            threshold=threshold,
+            epsilon=epsilon,
+            attributes=None if attributes is None else tuple(attributes),
+        )
+        return cast(FilterResult, self.execute_one(spec, **kwargs))
+
+    def top_k_mutual_information(
+        self,
+        target: str,
+        k: int,
+        *,
+        epsilon: float | None = None,
+        candidates: Sequence[str] | None = None,
+        prune: bool = False,
+        **kwargs: Any,
+    ) -> TopKResult:
+        """Algorithm 3: approximate MI top-k against ``target``."""
+        spec = QuerySpec(
+            kind="top_k",
+            score="mutual_information",
+            k=k,
+            epsilon=epsilon,
+            target=target,
+            attributes=None if candidates is None else tuple(candidates),
+            prune=prune,
+        )
+        return cast(TopKResult, self.execute_one(spec, **kwargs))
+
+    def filter_mutual_information(
+        self,
+        target: str,
+        threshold: float,
+        *,
+        epsilon: float | None = None,
+        candidates: Sequence[str] | None = None,
+        **kwargs: Any,
+    ) -> FilterResult:
+        """Algorithm 4: approximate MI filtering against ``target``."""
+        spec = QuerySpec(
+            kind="filter",
+            score="mutual_information",
+            threshold=threshold,
+            epsilon=epsilon,
+            target=target,
+            attributes=None if candidates is None else tuple(candidates),
+        )
+        return cast(FilterResult, self.execute_one(spec, **kwargs))
+
     # ------------------------------------------------------------------
     # Durability: checkpointing and resume (repro.durability.checkpoint
     # is imported lazily — it sits above this module in the layer graph).
@@ -1762,38 +1753,15 @@ class PlanExecutor:
         count groups), not by re-running :func:`plan_queries` — so the
         resumed plan's count-group extraction and schedule are exactly
         the interrupted run's, even if the default cost model changes
-        between versions. Checkpoints written before the metadata
-        existed fall back to re-planning in submission order.
+        between versions.
         """
         if self._restored is None:
             raise ParameterError(
                 "resumed_plan() needs an executor built by"
                 " PlanExecutor.resume() whose execute() has not run yet"
             )
-        meta = self._restored.get("plan")
-        if meta is None:
-            return plan_queries(
-                self._store,
-                list(self._restored["specs"]),
-                order="submission",
-            )
-        return QueryPlan(
-            specs=tuple(self._restored["specs"]),
-            marginal_attributes=tuple(
-                str(a) for a in meta["marginal_attributes"]
-            ),
-            joint_targets=tuple(
-                (str(target), tuple(str(n) for n in names))
-                for target, names in meta["joint_targets"]
-            ),
-            population_size=int(meta["population_size"]),
-            order=str(meta["order"]),
-            submission_names=tuple(
-                str(n) for n in meta["submission_names"]
-            ),
-            estimated_cells=tuple(int(c) for c in meta["estimated_cells"]),
-            cost_model=str(meta["cost_model"]),
-        )
+        plan: QueryPlan = self._restored["plan"]
+        return plan
 
     @classmethod
     def resume(
@@ -1864,6 +1832,22 @@ class PlanExecutor:
                     max_cells=residual_payload["max_cells"],
                     max_sample_size=residual_payload["max_sample_size"],
                 )
+            meta = progress["plan"]
+            plan = QueryPlan(
+                specs=specs,
+                marginal_attributes=tuple(
+                    str(a) for a in meta["marginal_attributes"]
+                ),
+                joint_targets=tuple(
+                    (str(target), tuple(str(n) for n in names))
+                    for target, names in meta["joint_targets"]
+                ),
+                population_size=int(meta["population_size"]),
+                order=str(meta["order"]),
+                submission_names=tuple(str(n) for n in meta["submission_names"]),
+                estimated_cells=tuple(int(c) for c in meta["estimated_cells"]),
+                cost_model=str(meta["cost_model"]),
+            )
             sampler_state = ckpt.decode_sampler_state(snapshot.sampler)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
@@ -1889,11 +1873,15 @@ class PlanExecutor:
         # fingerprint, which must come from the *restored* sampler.
         executor._bind_cache(cache, cache_dir)
         executor._restored = {
-            "specs": specs,
             "results": restored_results,
             "per_query_cells": per_query_cells,
             "plan_cells_at_start": plan_cells_at_start,
             "in_flight": in_flight,
-            "plan": progress.get("plan"),
+            "plan": plan,
         }
         return executor
+
+
+#: The executor under its earlier name: a store plus one shared sampler
+#: whose queries reuse each other's samples.
+QuerySession = PlanExecutor

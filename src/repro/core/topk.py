@@ -18,22 +18,21 @@ EntropyRank baseline.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, cast
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.core.plan import QuerySpec, run_query_spec
+from repro.core.plan import PlanExecutor
 from repro.core.results import TopKResult
 from repro.core.schedule import SampleSchedule
 from repro.data.backends import CountingBackend
 from repro.data.column_store import ColumnSource
-from repro.data.sampling import PrefixSampler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.cache sits above)
-    from repro.cache import CachePartition, PlanCache
+    from repro.cache import PlanCache
 
 __all__ = ["swope_top_k_entropy"]
 
@@ -47,7 +46,7 @@ def swope_top_k_entropy(
     seed: int | np.random.Generator | None = None,
     attributes: list[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sampler: PrefixSampler | None = None,
+    sequential: bool = False,
     backend: str | CountingBackend | None = None,
     prune: bool = True,
     trace: TraceSink | None = None,
@@ -55,7 +54,7 @@ def swope_top_k_entropy(
     cancellation: CancellationToken | None = None,
     strict: bool = False,
     metrics: MetricsRegistry | None = None,
-    cache: "PlanCache | CachePartition | None" = None,
+    cache: "PlanCache | None" = None,
 ) -> TopKResult:
     """Answer an approximate entropy top-k query with SWOPE (Algorithm 1).
 
@@ -78,16 +77,15 @@ def swope_top_k_entropy(
     schedule:
         Override the sample-size schedule (default: paper ``M0`` with
         doubling).
-    sampler:
-        Provide a pre-built sampler — used by experiments that want
-        sequential (non-shuffled) sampling or shared counters.
+    sequential:
+        Read physical row order instead of shuffling (only valid when
+        the physical order is already exchangeable, as for the i.i.d.
+        synthetic datasets the experiments use).
     backend:
-        Counting backend for a freshly built sampler (a
-        :data:`~repro.data.backends.BACKEND_NAMES` name, a
-        :class:`~repro.data.backends.CountingBackend` instance, or
-        ``None`` to honour ``REPRO_BACKEND``). Mutually exclusive with
-        ``sampler=``, which already owns its backend. All backends
-        return bit-identical results.
+        Counting backend (a :data:`~repro.data.backends.BACKEND_NAMES`
+        name, a :class:`~repro.data.backends.CountingBackend` instance,
+        or ``None`` to honour ``REPRO_BACKEND``). All backends return
+        bit-identical results.
     prune:
         Apply candidate pruning (Algorithm 1, lines 15–17).
     budget:
@@ -109,10 +107,9 @@ def swope_top_k_entropy(
         Optional :class:`~repro.obs.metrics.MetricsRegistry` fed the
         run's counters and latency histograms.
     cache:
-        Optional :class:`~repro.cache.PlanCache` (or pre-bound
-        :class:`~repro.cache.CachePartition`): serves retired answers
+        Optional :class:`~repro.cache.PlanCache`: serves retired answers
         without re-running, warm-starts counters, and absorbs this run's
-        results (see :func:`repro.core.plan.run_query_spec`).
+        results (see :meth:`repro.core.plan.PlanExecutor.execute_one`).
 
     Returns
     -------
@@ -121,21 +118,16 @@ def swope_top_k_entropy(
         with per-attribute estimates, run statistics, and the
         :class:`~repro.core.results.GuaranteeStatus` of the run.
     """
-    spec = QuerySpec(
-        kind="top_k",
-        score="entropy",
-        k=k,
-        epsilon=epsilon,
-        attributes=tuple(attributes) if attributes is not None else None,
-        prune=prune,
-    )
-    return cast(
-        TopKResult,
-        run_query_spec(
-            store, spec,
-            failure_probability=failure_probability, seed=seed,
-            schedule=schedule, sampler=sampler, backend=backend,
-            trace=trace, budget=budget, cancellation=cancellation,
-            strict=strict, metrics=metrics, cache=cache,
-        ),
+    # A one-query run: the same path, cache included, that plans take.
+    return PlanExecutor(
+        store,
+        seed=seed,
+        sequential=sequential,
+        failure_probability=failure_probability,
+        backend=backend,
+        cache=cache,
+    ).top_k_entropy(
+        k, epsilon=epsilon, attributes=attributes, prune=prune,
+        schedule=schedule, trace=trace, budget=budget,
+        cancellation=cancellation, strict=strict, metrics=metrics,
     )

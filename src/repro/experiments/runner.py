@@ -4,6 +4,13 @@ Bridges the algorithms to the figure harness: runs one (algorithm, query,
 parameter) combination on one dataset, measures wall-clock and cells
 scanned, and scores accuracy against cached exact ground truth. Used by
 :mod:`repro.experiments.figures` and by the pytest benchmarks.
+
+The runs default to ``sequential=True``, mirroring the paper's setup
+("SWOPE stores data by columnar layout and do sequential sampling",
+Section 6.1): the synthetic datasets emit i.i.d. rows, so a physical
+prefix is statistically equivalent to a shuffled prefix and avoids the
+gather cost of permuted reads. Pass ``sequential=False`` to exercise the
+shuffled path (the statistical tests do).
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from repro.core import (
     swope_top_k_mutual_information,
 )
 from repro.data.column_store import ColumnStore
-from repro.data.sampling import PrefixSampler
 from repro.experiments.accuracy import filter_precision_recall, top_k_accuracy
 from repro.exceptions import ParameterError
 
@@ -45,21 +51,6 @@ __all__ = [
 
 #: Algorithm labels used throughout figures and benchmarks.
 ALGORITHMS = ("swope", "entropy_rank", "exact")
-
-
-def _make_sampler(
-    store: ColumnStore, seed: int | None, sequential: bool
-) -> PrefixSampler:
-    """Build the sampler an experiment run uses.
-
-    The experiment harness defaults to ``sequential=True``, mirroring the
-    paper's setup ("SWOPE stores data by columnar layout and do sequential
-    sampling", Section 6.1): the synthetic datasets emit i.i.d. rows, so a
-    physical prefix is statistically equivalent to a shuffled prefix and
-    avoids the gather cost of permuted reads. Pass ``sequential=False`` to
-    exercise the shuffled path (the statistical tests do).
-    """
-    return PrefixSampler(store, seed=seed, sequential=sequential)
 
 
 class GroundTruthCache:
@@ -130,11 +121,11 @@ def run_entropy_top_k(
     if algorithm == "swope":
         result = swope_top_k_entropy(
             store, k, epsilon=epsilon,
-            sampler=_make_sampler(store, seed, sequential),
+            seed=seed, sequential=sequential,
         )
     elif algorithm == "entropy_rank":
         result = entropy_rank_top_k(
-            store, k, sampler=_make_sampler(store, seed, sequential)
+            store, k, seed=seed, sequential=sequential
         )
     else:
         result = exact_top_k_entropy(store, k)
@@ -168,11 +159,11 @@ def run_entropy_filter(
     if algorithm == "swope":
         result = swope_filter_entropy(
             store, threshold, epsilon=epsilon,
-            sampler=_make_sampler(store, seed, sequential),
+            seed=seed, sequential=sequential,
         )
     elif algorithm == "entropy_rank":
         result = entropy_filter(
-            store, threshold, sampler=_make_sampler(store, seed, sequential)
+            store, threshold, seed=seed, sequential=sequential
         )
     else:
         result = exact_filter_entropy(store, threshold)
@@ -208,11 +199,11 @@ def run_mi_top_k(
     if algorithm == "swope":
         result = swope_top_k_mutual_information(
             store, target, k, epsilon=epsilon,
-            sampler=_make_sampler(store, seed, sequential),
+            seed=seed, sequential=sequential,
         )
     elif algorithm == "entropy_rank":
         result = entropy_rank_top_k_mutual_information(
-            store, target, k, sampler=_make_sampler(store, seed, sequential)
+            store, target, k, seed=seed, sequential=sequential
         )
     else:
         result = exact_top_k_mutual_information(store, target, k)
@@ -248,12 +239,12 @@ def run_mi_filter(
     if algorithm == "swope":
         result = swope_filter_mutual_information(
             store, target, threshold, epsilon=epsilon,
-            sampler=_make_sampler(store, seed, sequential),
+            seed=seed, sequential=sequential,
         )
     elif algorithm == "entropy_rank":
         result = entropy_filter_mutual_information(
             store, target, threshold,
-            sampler=_make_sampler(store, seed, sequential),
+            seed=seed, sequential=sequential,
         )
     else:
         result = exact_filter_mutual_information(store, target, threshold)

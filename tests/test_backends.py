@@ -491,12 +491,6 @@ class TestBackendEquivalence:
             for left, right in pairs:
                 assert left == right
 
-    def test_sampler_and_backend_are_mutually_exclusive(self):
-        store = random_store(1)
-        sampler = PrefixSampler(store, seed=1)
-        with pytest.raises(ParameterError, match="either sampler= or backend="):
-            swope_top_k_entropy(store, 2, sampler=sampler, backend="process")
-
     def test_session_process_backend_matches_numpy(self):
         store = random_store(2, num_rows=500)
         answers = []

@@ -30,6 +30,12 @@ from repro.cache import (
     PlanCache,
     partition_filename,
 )
+from repro.core import (
+    swope_filter_entropy,
+    swope_filter_mutual_information,
+    swope_top_k_entropy,
+    swope_top_k_mutual_information,
+)
 from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
 from repro.core.results import GuaranteeStatus
 from repro.durability.checkpoint import result_to_payload
@@ -370,6 +376,42 @@ def test_cold_warm_bit_identity(tmp_path: Path, backend: str) -> None:
     warm = warm_exec.execute(plan_queries(store, _specs()))
     assert warm.stats.cells_scanned == 0
     assert _payloads(warm) == _payloads(cold)
+
+
+#: One query per ``swope_*`` façade; each runs on a fresh executor.
+_FACADES = {
+    "topk-entropy": lambda store, cache: swope_top_k_entropy(
+        store, 2, seed=SEED, cache=cache
+    ),
+    "filter-entropy": lambda store, cache: swope_filter_entropy(
+        store, 2.0, seed=SEED, cache=cache
+    ),
+    "topk-mi": lambda store, cache: swope_top_k_mutual_information(
+        store, "target", 2, seed=SEED, cache=cache
+    ),
+    "filter-mi": lambda store, cache: swope_filter_mutual_information(
+        store, "target", 0.1, seed=SEED, cache=cache
+    ),
+}
+
+
+@pytest.mark.parametrize("query", sorted(_FACADES))
+def test_facade_cold_then_warm_on_one_cache(tmp_path: Path, query: str) -> None:
+    store = _store()
+    cache = PlanCache(tmp_path)
+    cold = _FACADES[query](store, cache)
+    assert cold.stats.cells_scanned > 0
+    (partition,) = tmp_path.glob("part-*.json")
+    written = partition.read_bytes()
+
+    warm = _FACADES[query](store, cache)
+    assert warm.stats.cells_scanned == 0
+    cold_answer, warm_answer = result_to_payload(cold), result_to_payload(warm)
+    cold_answer.pop("stats")
+    warm_answer.pop("stats")
+    assert warm_answer == cold_answer
+    # A hit must not rewrite the cache.
+    assert partition.read_bytes() == written
 
 
 def test_counter_blocks_warm_start_new_queries(tmp_path: Path) -> None:

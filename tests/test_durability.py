@@ -43,6 +43,7 @@ from repro.durability.checkpoint import (
     encode_sampler_state,
     load_checkpoint,
     save_checkpoint,
+    seal_envelope,
     store_fingerprint,
 )
 from repro.exceptions import (
@@ -252,6 +253,22 @@ class TestCheckpointEnvelope:
         executor.execute(plan)
         with pytest.raises(ParameterError, match="resumed_plan"):
             executor.resumed_plan()
+
+    def test_resume_refuses_checkpoint_without_planner_metadata(
+        self, store, tmp_path
+    ):
+        # A sealed, schema-3 checkpoint always carries progress.plan; one
+        # without it is malformed, not an older format to re-plan from.
+        path, _ = _write_checkpoint(store, tmp_path)
+        payload = json.loads(path.read_text())["payload"]
+        del payload["progress"]["plan"]
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        path.write_text(
+            seal_envelope(CHECKPOINT_FORMAT, CHECKPOINT_SCHEMA_VERSION, canonical)
+        )
+        load_checkpoint(path, store=store)  # the envelope itself is intact
+        with pytest.raises(CheckpointError, match="malformed payload"):
+            PlanExecutor.resume(path, store)
 
     def test_checkpoint_every_validated(self, store, tmp_path):
         with pytest.raises(ParameterError, match="checkpoint_every"):

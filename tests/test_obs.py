@@ -13,7 +13,7 @@ from repro.core.budget import QueryBudget
 from repro.core.engine import QueryTrace
 from repro.core.filtering import swope_filter_entropy
 from repro.core.schedule import SampleSchedule
-from repro.core.session import QuerySession
+from repro.core.plan import QuerySession
 from repro.core.topk import swope_top_k_entropy
 from repro.data.column_store import ColumnStore
 from repro.exceptions import ParameterError, QueryInterruptedError

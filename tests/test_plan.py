@@ -36,14 +36,14 @@ from repro.core.plan import (
     load_plan,
     plan_queries,
 )
-from repro.core.session import QuerySession
+from repro.core.plan import QuerySession
 from repro.core.topk import swope_top_k_entropy
 from repro.data.column_store import ColumnStore
 from repro.exceptions import (
     DataFormatError,
-    ParameterError,
     PlanError,
     QueryInterruptedError,
+    ReproError,
     SchemaError,
 )
 from repro.obs import InMemorySink, MetricsRegistry
@@ -229,6 +229,18 @@ class TestPlanQueries:
         )
         with pytest.raises(SchemaError, match="unknown attributes"):
             plan_queries(store, [spec])
+
+    def test_empty_candidate_list_rejected_before_any_read(self, store, tmp_path):
+        with pytest.raises(ReproError, match="at least one candidate"):
+            swope_top_k_entropy(store, 1, attributes=[])
+        with pytest.raises(ReproError, match="at least one candidate"):
+            swope_filter_entropy(store, 1.0, attributes=[])
+        path = tmp_path / "empty.json"
+        path.write_text(
+            json.dumps([{"kind": "topk-entropy", "k": 1, "attributes": []}])
+        )
+        with pytest.raises(ReproError, match="at least one candidate"):
+            plan_queries(store, load_plan(path))
 
     def test_epsilon_defaults_filled_from_paper(self, store):
         plan = plan_queries(store, _mixed_specs())
@@ -417,12 +429,6 @@ class TestPlanResilience:
         assert kinds.count("query_retired") == 1  # the truncated query
         (end,) = sink.of_kind("plan_end")
         assert end.queries_completed == 0
-
-    def test_executor_rejects_backend_override(self, store):
-        executor = PlanExecutor(store, seed=SEED)
-        spec = QuerySpec(kind="top_k", score="entropy", k=1)
-        with pytest.raises(ParameterError):
-            executor.execute_one(spec, backend="process")
 
 
 # ----------------------------------------------------------------------

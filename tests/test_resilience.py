@@ -20,7 +20,7 @@ from repro.core.engine import (
     validate_threshold,
 )
 from repro.core.results import GuaranteeStatus
-from repro.core.session import QuerySession
+from repro.core.plan import QuerySession
 from repro.core import (
     swope_filter_entropy,
     swope_filter_mutual_information,

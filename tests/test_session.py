@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.exact import exact_entropies, exact_mutual_informations
-from repro.core.session import QuerySession
+from repro.core.plan import QuerySession
 from repro.data.column_store import ColumnStore
 from repro.data.sampling import PrefixSampler
+from repro.exceptions import ParameterError
 from repro.experiments.accuracy import (
     check_filter_guarantee,
     check_top_k_guarantee,
@@ -128,3 +129,21 @@ class TestSequentialSession:
         session = QuerySession(store, sequential=True)
         result = session.top_k_entropy(1, epsilon=0.2)
         assert result.attributes == ["wide"]
+
+
+class TestEmptyCandidateLists:
+    def test_empty_list_is_rejected_not_widened(self, store):
+        # [] means "no candidates", not "every attribute": each query
+        # method must refuse it before reading a single row.
+        session = QuerySession(store, seed=0)
+        calls = [
+            lambda: session.top_k_entropy(1, attributes=[]),
+            lambda: session.filter_entropy(1.0, attributes=[]),
+            lambda: session.top_k_mutual_information("base", 1, candidates=[]),
+            lambda: session.filter_mutual_information("base", 0.1, candidates=[]),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match="at least one candidate"):
+                call()
+        assert session.cells_scanned == 0
+        assert session.queries_run == 0
