@@ -28,6 +28,7 @@ shared scan at a frontier the cheap ones already paid for.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -99,7 +100,10 @@ class CostModel:
     """Deterministic per-query cost predictor for the planner.
 
     Purely analytic: a function of the query shape and the store schema,
-    so two sessions always order the same plan the same way.
+    so two sessions always order the same plan the same way. Being pure,
+    each prediction is computed once per process and then served from a
+    bounded memo (:func:`_predict`), so a rerun plans without
+    re-evaluating the Lemma 3 terms.
     """
 
     def estimate(
@@ -129,86 +133,113 @@ class CostModel:
         mutual = score == "mutual_information"
         names = list(candidates)
         all_names = [target, *names] if mutual and target is not None else names
-        num_attributes = len(names) + 1 if mutual else len(names)
-        population = store.num_rows
         supports = {
             name: store.support_size(name) for name in all_names if name is not None
         }
-        schedule = SampleSchedule.for_query(
-            population,
-            num_attributes,
+        return _predict(
+            store.num_rows,
+            kind,
+            mutual,
+            epsilon,
+            threshold,
             failure_probability,
+            initial_size,
+            tuple(supports[name] for name in names),
+            supports.get(target or "", 2),
             max(supports.values()),
-            initial_size=initial_size,
-        )
-        per_bound = schedule.per_round_failure(
-            failure_probability,
-            len(names),
-            bounds_per_attribute=3 if mutual else 1,
-        )
-        target_support = supports.get(target or "", 2)
-        terms = _LemmaTerms(population, per_bound)
-        retire_by_support: dict[int, int] = {}
-        predicted_m = 0
-        cells = 0
-        for name in names:
-            support = supports[name]
-            retire = retire_by_support.get(support)
-            if retire is None:
-                retire = self._retirement_size(
-                    schedule,
-                    population,
-                    terms,
-                    kind=kind,
-                    mutual=mutual,
-                    support=support,
-                    target_support=target_support,
-                    epsilon=epsilon,
-                    threshold=threshold,
-                )
-                retire_by_support[support] = retire
-            predicted_m = max(predicted_m, retire)
-            cells += (3 if mutual else 1) * retire
-        if mutual:
-            # The target's marginal is scanned to the query's final size.
-            cells += predicted_m
-        return CostEstimate(
-            predicted_sample_size=predicted_m, predicted_cells=cells
         )
 
-    def _retirement_size(
-        self,
-        schedule: SampleSchedule,
-        population: int,
-        terms: _LemmaTerms,
-        *,
-        kind: str,
-        mutual: bool,
-        support: int,
-        target_support: int,
-        epsilon: float,
-        threshold: float | None,
-    ) -> int:
-        """First schedule size where the guaranteed decision width holds."""
-        if kind == "filter" and threshold is not None:
-            goal = 2.0 * epsilon * threshold
-        elif mutual:
-            # MI is bounded by min(H(α_t), H(α)) <= log2 of either support.
-            ceiling = math.log2(max(2, min(support, target_support)))
-            goal = epsilon * ceiling
+
+@functools.lru_cache(maxsize=4096)
+def _predict(
+    population: int,
+    kind: str,
+    mutual: bool,
+    epsilon: float,
+    threshold: float | None,
+    failure_probability: float,
+    initial_size: int | None,
+    candidate_supports: tuple[int, ...],
+    target_support: int,
+    max_support: int,
+) -> CostEstimate:
+    """The estimate of one query shape, from everything it depends on.
+
+    The arguments are exactly what the prediction reads of the store and
+    the query (row count, supports, ``p_f``, ``M0``), so the memo can
+    never serve a shape it was not computed for.
+    """
+    schedule = SampleSchedule.for_query(
+        population,
+        len(candidate_supports) + 1 if mutual else len(candidate_supports),
+        failure_probability,
+        max_support,
+        initial_size=initial_size,
+    )
+    per_bound = schedule.per_round_failure(
+        failure_probability,
+        len(candidate_supports),
+        bounds_per_attribute=3 if mutual else 1,
+    )
+    terms = _LemmaTerms(population, per_bound)
+    retire_by_support: dict[int, int] = {}
+    predicted_m = 0
+    cells = 0
+    for support in candidate_supports:
+        retire = retire_by_support.get(support)
+        if retire is None:
+            retire = _retirement_size(
+                schedule,
+                population,
+                terms,
+                kind=kind,
+                mutual=mutual,
+                support=support,
+                target_support=target_support,
+                epsilon=epsilon,
+                threshold=threshold,
+            )
+            retire_by_support[support] = retire
+        predicted_m = max(predicted_m, retire)
+        cells += (3 if mutual else 1) * retire
+    if mutual:
+        # The target's marginal is scanned to the query's final size.
+        cells += predicted_m
+    return CostEstimate(predicted_sample_size=predicted_m, predicted_cells=cells)
+
+
+def _retirement_size(
+    schedule: SampleSchedule,
+    population: int,
+    terms: _LemmaTerms,
+    *,
+    kind: str,
+    mutual: bool,
+    support: int,
+    target_support: int,
+    epsilon: float,
+    threshold: float | None,
+) -> int:
+    """First schedule size where the guaranteed decision width holds."""
+    if kind == "filter" and threshold is not None:
+        goal = 2.0 * epsilon * threshold
+    elif mutual:
+        # MI is bounded by min(H(α_t), H(α)) <= log2 of either support.
+        ceiling = math.log2(max(2, min(support, target_support)))
+        goal = epsilon * ceiling
+    else:
+        goal = epsilon * math.log2(max(2, support))
+    for size in schedule.sizes:
+        if size >= population:
+            break
+        lam = terms.half_width(size)
+        bias = terms.bias(support, size)
+        if mutual:
+            bias_t = terms.bias(target_support, size)
+            bias_j = terms.bias(support * target_support, size)
+            width = 6.0 * lam + bias_t + bias + bias_j
         else:
-            goal = epsilon * math.log2(max(2, support))
-        for size in schedule.sizes:
-            if size >= population:
-                break
-            lam = terms.half_width(size)
-            bias = terms.bias(support, size)
-            if mutual:
-                bias_t = terms.bias(target_support, size)
-                bias_j = terms.bias(support * target_support, size)
-                width = 6.0 * lam + bias_t + bias + bias_j
-            else:
-                width = 2.0 * lam + bias
-            if width < goal:
-                return size
-        return population
+            width = 2.0 * lam + bias
+        if width < goal:
+            return size
+    return population

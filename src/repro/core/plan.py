@@ -1477,11 +1477,14 @@ class PlanExecutor:
         self, specs: Sequence[QuerySpec] | QueryPlan, **kwargs: Any
     ) -> PlanResult:
         """:meth:`execute` for raw specs (planned with :func:`plan_queries`
-        against this executor's store) or a pre-built plan."""
+        against this executor's store and failure probability) or a
+        pre-built plan."""
         plan = (
             specs
             if isinstance(specs, QueryPlan)
-            else plan_queries(self._store, list(specs))
+            else plan_queries(
+                self._store, list(specs), failure_probability=self._failure
+            )
         )
         return self.execute(plan, **kwargs)
 

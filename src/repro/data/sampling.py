@@ -11,7 +11,9 @@ iteration, and the martingale argument of Section 3.1 applies.
 
 * one random permutation of ``[0, N)`` (the shuffle), drawn on the first
   read that needs rows and identified by the generator state it is drawn
-  from, so a plan answered entirely from a cache never pays for it;
+  from, so a plan answered entirely from a cache never pays for it; the
+  process keeps the last one drawn (read-only, keyed by that identity),
+  so samplers that reuse a seed draw it once;
 * per-attribute occurrence counters ``m_i`` maintained *incrementally*
   (extending the prefix from ``M`` to ``M'`` touches only the ``M' - M``
   new records of each requested attribute — the columnar "sequential
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from collections.abc import Sequence
 from typing import Protocol
 
@@ -107,6 +110,33 @@ def _shuffle_identity(rng: np.random.Generator, num_rows: int) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+#: The last shuffle drawn, keyed by its :func:`_shuffle_identity`. A
+#: permutation is a pure function of that identity, so samplers sharing
+#: a seed share one read-only array. At most one is held, and it is
+#: dropped before a different one is drawn, so a draw never finds more
+#: shuffles in memory than the live samplers hold.
+_held_shuffle: dict[str, np.ndarray] = {}
+_held_shuffle_lock = threading.Lock()
+
+
+def _draw_shuffle(
+    rng: np.random.Generator, identity: str, num_rows: int, *, reuse: bool = True
+) -> np.ndarray:
+    """``rng.permutation(num_rows)``, drawn once per identity while held.
+
+    ``reuse=False`` always draws, for a caller's generator whose stream
+    must advance; the drawn shuffle is then the one held.
+    """
+    with _held_shuffle_lock:
+        perm = _held_shuffle.get(identity) if reuse else None
+        if perm is None:
+            _held_shuffle.clear()
+            perm = rng.permutation(num_rows)
+            perm.flags.writeable = False
+            _held_shuffle[identity] = perm
+        return perm
+
+
 class PrefixSampler:
     """Shuffled prefix view of a :class:`~repro.data.column_store.ColumnSource`
     with incremental counts.
@@ -165,7 +195,7 @@ class PrefixSampler:
             self._shuffle_id = "sequential"
         elif isinstance(seed, np.random.Generator):
             self._shuffle_id = _shuffle_identity(seed, self._n)
-            self._perm = seed.permutation(self._n)
+            self._perm = _draw_shuffle(seed, self._shuffle_id, self._n, reuse=False)
         else:
             self._rng = np.random.default_rng(seed)
             self._shuffle_id = _shuffle_identity(self._rng, self._n)
@@ -344,6 +374,7 @@ class PrefixSampler:
                     f"snapshot permutation has shape {perm.shape}, expected"
                     f" ({num_rows},)"
                 )
+            perm.flags.writeable = False
             sampler._sequential = False
             sampler._perm = perm
             sampler._shuffle_id = str(state["shuffle"])
@@ -388,17 +419,22 @@ class PrefixSampler:
         return sampler
 
     def shuffled_prefix(self, num_rows: int) -> np.ndarray:
-        """Return the row indices making up the first ``num_rows`` samples."""
+        """The row indices making up the first ``num_rows`` samples.
+
+        A read-only view: the shuffle may be shared with other samplers
+        of the same seed.
+        """
         self._check_prefix(num_rows)
         perm = self._permutation()
         if perm is None:
-            return np.arange(num_rows)
+            perm = np.arange(num_rows)
+            perm.flags.writeable = False
         return perm[:num_rows]
 
     def _permutation(self) -> np.ndarray | None:
         """The shuffle, drawn on first use; ``None`` in sequential mode."""
         if self._rng is not None:
-            self._perm = self._rng.permutation(self._n)
+            self._perm = _draw_shuffle(self._rng, self._shuffle_id, self._n)
             self._rng = None
         return self._perm
 

@@ -29,8 +29,9 @@ EXPERIMENTS.md discusses how that scaling affects measured speedup factors.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
 
 import numpy as np
 
@@ -293,28 +294,59 @@ def build_plan(
 # ----------------------------------------------------------------------
 # Registry: the four Table 2 analogues
 # ----------------------------------------------------------------------
-DATASETS: dict[str, DatasetPlan] = {
-    "cdc": build_plan(
-        "cdc", "cdc-behavioral-risk (synthetic analogue)",
-        num_rows=300_000, num_columns=100,
-        paper_rows=3_753_802, paper_columns=100, seed=1101, mi_groups=2,
-    ),
-    "hus": build_plan(
-        "hus", "census-american-housing (synthetic analogue)",
-        num_rows=400_000, num_columns=107,
-        paper_rows=14_768_919, paper_columns=107, seed=1102, mi_groups=2,
-    ),
-    "pus": build_plan(
-        "pus", "census-american-population (synthetic analogue)",
-        num_rows=500_000, num_columns=179,
-        paper_rows=31_290_943, paper_columns=179, seed=1103, mi_groups=3,
-    ),
-    "enem": build_plan(
-        "enem", "enem (synthetic analogue)",
-        num_rows=500_000, num_columns=117,
-        paper_rows=33_714_152, paper_columns=117, seed=1104, mi_groups=2,
-    ),
-}
+class _PlanRegistry(Mapping[str, DatasetPlan]):
+    """A read-only mapping whose keys are fixed and whose plans are
+    built on first lookup.
+
+    Building a plan draws its column mix, which takes tens of
+    milliseconds; a process that lists the keys (the CLI's ``choices``)
+    or uses one dataset builds no other plan.
+    """
+
+    def __init__(self, recipes: dict[str, Callable[[], DatasetPlan]]) -> None:
+        self._recipes = recipes
+        self._plans: dict[str, DatasetPlan] = {}
+
+    def __getitem__(self, key: str) -> DatasetPlan:
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._recipes[key]()
+        return plan
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._recipes
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._recipes)
+
+    def __len__(self) -> int:
+        return len(self._recipes)
+
+
+DATASETS: Mapping[str, DatasetPlan] = _PlanRegistry(
+    {
+        "cdc": partial(
+            build_plan, "cdc", "cdc-behavioral-risk (synthetic analogue)",
+            num_rows=300_000, num_columns=100,
+            paper_rows=3_753_802, paper_columns=100, seed=1101, mi_groups=2,
+        ),
+        "hus": partial(
+            build_plan, "hus", "census-american-housing (synthetic analogue)",
+            num_rows=400_000, num_columns=107,
+            paper_rows=14_768_919, paper_columns=107, seed=1102, mi_groups=2,
+        ),
+        "pus": partial(
+            build_plan, "pus", "census-american-population (synthetic analogue)",
+            num_rows=500_000, num_columns=179,
+            paper_rows=31_290_943, paper_columns=179, seed=1103, mi_groups=3,
+        ),
+        "enem": partial(
+            build_plan, "enem", "enem (synthetic analogue)",
+            num_rows=500_000, num_columns=117,
+            paper_rows=33_714_152, paper_columns=117, seed=1104, mi_groups=2,
+        ),
+    }
+)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import cost
+from repro.data import sampling
 from repro.data.column_store import ColumnStore
 
 
@@ -21,6 +23,21 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         help="rewrite tests/golden/*.jsonl from the current engine instead"
              " of comparing against them",
     )
+
+
+@pytest.fixture(autouse=True)
+def fresh_process_memos():
+    """Start every test without a held shuffle or memoized cost estimate.
+
+    Both are per-process memos of pure functions, so they never change
+    an answer, but tests that count permutation draws or Lemma 3 term
+    evaluations must see the real work.
+    """
+    sampling._held_shuffle.clear()
+    cost._predict.cache_clear()
+    yield
+    sampling._held_shuffle.clear()
+    cost._predict.cache_clear()
 
 
 @pytest.fixture

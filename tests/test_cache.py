@@ -38,7 +38,7 @@ from repro.core import (
 )
 from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
 from repro.core.results import GuaranteeStatus
-from repro.durability.checkpoint import result_to_payload
+from repro.durability.checkpoint import result_from_payload, result_to_payload
 from repro.exceptions import ParameterError
 from repro.obs.metrics import MetricsRegistry
 from repro.data.column_store import ColumnStore
@@ -241,22 +241,31 @@ def _absorb(part: CachePartition, name: str, counts: list[int]) -> None:
     )
 
 
+def _records(directory: Path) -> dict[str, bytes]:
+    """Every file under ``directory`` by relative path: a partition's records."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
 def test_flush_bytes_equal_json_dumps_envelope(tmp_path: Path) -> None:
     store = _store()
-    cache = PlanCache(tmp_path)
-    PlanExecutor(store, seed=SEED, cache=cache).execute(
+    PlanExecutor(store, seed=SEED, cache=PlanCache(tmp_path)).execute(
         plan_queries(store, _specs())
     )
     path = _partition_path(store, tmp_path)
-    part = cache.partition(
-        fingerprint=store.fingerprint(),
-        shuffle=PlanExecutor(store, seed=SEED).sampler.shuffle_fingerprint(),
-    )
-    assert part.to_payload()["joints"]  # the MI query cached joint blocks
-    assert path.read_bytes() == _json_dumps_envelope(part.to_payload())
+    records = _records(tmp_path)
+    # The answers record, the counter record, one history per answer.
+    assert len(records) == 2 + len(_specs())
+    counters = path.with_suffix("") / "counters.json"
+    assert json.loads(counters.read_bytes())["payload"]["joints"]  # MI joints
+    for raw in records.values():
+        assert raw == _json_dumps_envelope(json.loads(raw)["payload"])
 
 
-def test_canonical_once_per_dirty_partition_and_never_on_load(
+def test_canonical_once_per_changed_record_and_never_on_load(
     tmp_path: Path, monkeypatch
 ) -> None:
     calls: list[int] = []
@@ -274,9 +283,15 @@ def test_canonical_once_per_dirty_partition_and_never_on_load(
     _absorb(first, "x", [2, 3])
     _absorb(second, "y", [1, 4, 0])
     cache.flush()
-    assert len(calls) == 2
+    assert len(calls) == 4  # a counter record and an answers record each
     cache.flush()  # nothing dirty: nothing serialized
-    assert len(calls) == 2
+    assert len(calls) == 4
+    counters = tmp_path / partition_filename("a" * 64, "s" * 64)
+    counters = counters.with_suffix("") / "counters.json"
+    sealed = counters.read_bytes()
+    _absorb(first, "x", [1, 1])  # not deeper than the cached prefix
+    cache.flush()
+    assert len(calls) == 4
 
     calls.clear()
     reloaded = PlanCache(tmp_path).partition(fingerprint="a" * 64, shuffle="s" * 64)
@@ -284,13 +299,15 @@ def test_canonical_once_per_dirty_partition_and_never_on_load(
     best = reloaded.best_marginal("x", 0, 10)
     assert best is not None and best[0] == 5
     assert best[1].tolist() == [2, 3]
+    assert counters.read_bytes() == sealed
 
 
-def _loaded_payload(directory: Path, part: CachePartition) -> dict:
+def _served(directory: Path, part: CachePartition) -> tuple | None:
+    """What a fresh cache over ``directory`` serves of counter ``x``."""
     return (
         PlanCache(directory)
         .partition(fingerprint=part.fingerprint, shuffle=part.shuffle)
-        .to_payload()
+        .best_marginal("x", 0, 100)
     )
 
 
@@ -300,53 +317,76 @@ def test_partition_not_as_written_loads_empty(tmp_path: Path, defect: str) -> No
     part = cache.partition(fingerprint="a" * 64, shuffle="s" * 64)
     _absorb(part, "x", [2, 3, 7])
     cache.flush()
-    path = tmp_path / partition_filename(part.fingerprint, part.shuffle)
-    raw = path.read_bytes()
-    assert _loaded_payload(tmp_path, part)["marginals"]  # intact: served
+    answers = tmp_path / partition_filename(part.fingerprint, part.shuffle)
+    counters = answers.with_suffix("") / "counters.json"
+    assert _served(tmp_path, part) is not None  # intact: served
 
-    document = json.loads(raw)
-    if defect == "flipped_byte":
-        # One digit of the payload changes; the file stays valid JSON.
-        at = raw.index(b'"counted":') + len(b'"counted":')
-        flipped = b"9" if raw[at : at + 1] != b"9" else b"8"
-        path.write_bytes(raw[:at] + flipped + raw[at + 1 :])
-    elif defect == "reindented":
-        path.write_text(json.dumps(document, sort_keys=True, indent=2))
-    else:
-        # Same envelope bytes around a payload that is not canonical.
-        canonical = json.dumps(
-            document["payload"], sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        reindented = json.dumps(
-            document["payload"], sort_keys=True, indent=1
-        ).encode("utf-8")
-        path.write_bytes(raw.replace(canonical, reindented))
-    assert json.loads(path.read_bytes())["sha256"] == document["sha256"]
+    # Each record in turn: a defect in either one loses the counters.
+    for path, digit_after in ((counters, b'"counted":'), (answers, b'"counters":"')):
+        raw = path.read_bytes()
+        document = json.loads(raw)
+        if defect == "flipped_byte":
+            # One digit of the payload changes; the file stays valid JSON.
+            at = raw.index(digit_after) + len(digit_after)
+            flipped = b"9" if raw[at : at + 1] != b"9" else b"8"
+            path.write_bytes(raw[:at] + flipped + raw[at + 1 :])
+        elif defect == "reindented":
+            path.write_text(json.dumps(document, sort_keys=True, indent=2))
+        else:
+            # Same envelope bytes around a payload that is not canonical.
+            canonical = json.dumps(
+                document["payload"], sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
+            reindented = json.dumps(
+                document["payload"], sort_keys=True, indent=1
+            ).encode("utf-8")
+            path.write_bytes(raw.replace(canonical, reindented))
+        assert json.loads(path.read_bytes())["sha256"] == document["sha256"]
 
-    assert _loaded_payload(tmp_path, part) == {
-        "fingerprint": part.fingerprint,
-        "shuffle": part.shuffle,
-        "marginals": {},
-        "joints": [],
-        "answers": [],
-    }
+        assert _served(tmp_path, part) is None
+        path.write_bytes(raw)
+        assert _served(tmp_path, part) is not None
 
 
-def test_golden_partition_served_warm(tmp_path: Path) -> None:
-    # The fixture was written by the two-pass json.dumps envelope of
-    # schema version 1; this build must still serve it, without
-    # rewriting it, with the answers a cold run gives.
-    assert CACHE_SCHEMA_VERSION == 1
+GOLDEN_PARTITION_V2 = Path(__file__).parent / "golden" / "cache_partition_v2"
+
+
+def test_golden_v1_partition_is_a_cold_miss(tmp_path: Path) -> None:
+    # A schema 1 partition (one file holding answers, histories and
+    # counters) is never migrated: this build runs cold over it, lands
+    # on the answers a cache-free run gives, and replaces it.
     store = _fixture_store()
     name = partition_filename(store.fingerprint(), "sequential")
+    stale_dir = tmp_path / "stale"
+    stale_dir.mkdir()
+    shutil.copyfile(GOLDEN_PARTITION, stale_dir / name)
+    stale = PlanExecutor(store, sequential=True, cache_dir=stale_dir).execute(
+        plan_queries(store, _fixture_specs())
+    )
+    assert stale.stats.cells_scanned > 0
+    document = json.loads((stale_dir / name).read_bytes())
+    assert document["schema_version"] == CACHE_SCHEMA_VERSION == 2
+
+    fresh = PlanExecutor(store, sequential=True).execute(
+        plan_queries(store, _fixture_specs())
+    )
+    assert _payloads(stale) == _payloads(fresh)
+
+
+def test_golden_v2_partition_served_warm(tmp_path: Path) -> None:
+    # The fixture's record set, written by schema version 2: this build
+    # serves it without rewriting a byte, with the answers a cold run
+    # gives.
+    store = _fixture_store()
+    name = partition_filename(store.fingerprint(), "sequential")
+    assert (GOLDEN_PARTITION_V2 / name).is_file()
     warm_dir = tmp_path / "warm"
-    warm_dir.mkdir()
-    shutil.copyfile(GOLDEN_PARTITION, warm_dir / name)
+    shutil.copytree(GOLDEN_PARTITION_V2, warm_dir)
     warm = PlanExecutor(store, sequential=True, cache_dir=warm_dir).execute(
         plan_queries(store, _fixture_specs())
     )
     assert warm.stats.cells_scanned == 0
-    assert (warm_dir / name).read_bytes() == GOLDEN_PARTITION.read_bytes()
+    assert _records(warm_dir) == _records(GOLDEN_PARTITION_V2)
 
     cold_dir = tmp_path / "cold"
     cold = PlanExecutor(store, sequential=True, cache_dir=cold_dir).execute(
@@ -354,6 +394,7 @@ def test_golden_partition_served_warm(tmp_path: Path) -> None:
     )
     assert cold.stats.cells_scanned > 0
     assert _payloads(warm) == _payloads(cold)
+    assert sorted(_records(cold_dir)) == sorted(_records(GOLDEN_PARTITION_V2))
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +443,7 @@ def test_facade_cold_then_warm_on_one_cache(tmp_path: Path, query: str) -> None:
     cold = _FACADES[query](store, cache)
     assert cold.stats.cells_scanned > 0
     (partition,) = tmp_path.glob("part-*.json")
-    written = partition.read_bytes()
+    written = _records(tmp_path)
 
     warm = _FACADES[query](store, cache)
     assert warm.stats.cells_scanned == 0
@@ -410,8 +451,8 @@ def test_facade_cold_then_warm_on_one_cache(tmp_path: Path, query: str) -> None:
     cold_answer.pop("stats")
     warm_answer.pop("stats")
     assert warm_answer == cold_answer
-    # A hit must not rewrite the cache.
-    assert partition.read_bytes() == written
+    # A hit must not rewrite any record of the cache.
+    assert _records(tmp_path) == written
 
 
 def test_counter_blocks_warm_start_new_queries(tmp_path: Path) -> None:
@@ -567,3 +608,162 @@ def test_put_answer_refuses_nonconverged() -> None:
     part.put_answer(history=history, result=result, **kwargs)
     assert len(part._answers) == 1
     assert part.dirty
+
+
+# ----------------------------------------------------------------------
+# Records: each read only by the hit that needs it, bound by digest
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def decoders(monkeypatch) -> dict[str, int]:
+    """Count calls of the history and counter decoders of the store."""
+    calls = {"history": 0, "counters": 0, "array": 0, "joint": 0}
+
+    def counting(kind, real):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for kind, name in (
+        ("history", "_decode_history"),
+        ("counters", "_decode_counters"),
+        ("array", "decode_array"),
+        ("joint", "decode_joint_snapshot"),
+    ):
+        monkeypatch.setattr(
+            cache_store, name, counting(kind, getattr(cache_store, name))
+        )
+    return calls
+
+
+def test_exact_hit_decodes_no_history_or_counter(tmp_path: Path, decoders) -> None:
+    store = _store()
+    cold = PlanExecutor(store, seed=SEED, cache_dir=tmp_path).execute(
+        plan_queries(store, _specs())
+    )
+    assert decoders == {"history": 0, "counters": 0, "array": 0, "joint": 0}
+    warm = PlanExecutor(store, seed=SEED, cache_dir=tmp_path).execute(
+        plan_queries(store, _specs())
+    )
+    assert warm.stats.cells_scanned == 0
+    assert _payloads(warm) == _payloads(cold)
+    assert decoders == {"history": 0, "counters": 0, "array": 0, "joint": 0}
+
+
+def test_semantic_hit_decodes_only_its_history(tmp_path: Path, decoders) -> None:
+    store = _store()
+    tk3 = QuerySpec(kind="top_k", score="entropy", k=3, epsilon=0.1, prune=False)
+    f_lo = QuerySpec(kind="filter", score="entropy", threshold=5.2, epsilon=0.1)
+    for spec in (tk3, f_lo):  # two answers, two history records
+        PlanExecutor(store, seed=SEED, cache_dir=tmp_path).execute(
+            plan_queries(store, [spec])
+        )
+    decoders.update(dict.fromkeys(decoders, 0))
+    tk1 = QuerySpec(kind="top_k", score="entropy", k=1, epsilon=0.1, prune=False)
+    served = PlanExecutor(store, seed=SEED, cache_dir=tmp_path).execute(
+        plan_queries(store, [tk1])
+    )
+    assert served.stats.cells_scanned == 0
+    assert decoders == {"history": 1, "counters": 0, "array": 0, "joint": 0}
+    fresh = PlanExecutor(store, seed=SEED).execute(plan_queries(store, [tk1]))
+    assert _payloads(served) == _payloads(fresh)
+
+
+def test_scan_decodes_counters_it_warm_starts(tmp_path: Path, decoders) -> None:
+    store = _store()
+    PlanExecutor(store, seed=SEED, cache_dir=tmp_path).execute(
+        plan_queries(
+            store,
+            [QuerySpec(kind="top_k", score="entropy", k=2, epsilon=0.1,
+                       prune=False)],
+        )
+    )
+    result = PlanExecutor(store, seed=SEED, cache_dir=tmp_path).execute(
+        plan_queries(
+            store,
+            [QuerySpec(kind="filter", score="entropy", threshold=1.5,
+                       epsilon=0.1)],
+        )
+    )
+    (stats,) = [result[name].stats for name in result]
+    assert stats.cells_saved > 0
+    assert decoders["counters"] == 1  # the record is parsed once
+    # Only the blocks served are decoded, each once.
+    assert 1 <= decoders["array"] <= len(store.attributes)
+    assert decoders["history"] == 0
+
+
+def _history_record(directory: Path) -> Path:
+    (path,) = directory.glob("part-*/history-*.json")
+    return path
+
+
+def test_answers_with_an_older_history_record_miss(tmp_path: Path) -> None:
+    store = _store()
+    tk3 = QuerySpec(kind="top_k", score="entropy", k=3, epsilon=0.1, prune=False)
+    PlanExecutor(store, seed=SEED, cache_dir=tmp_path).execute(
+        plan_queries(store, [tk3])
+    )
+    older = _history_record(tmp_path).read_bytes()
+    (counters,) = tmp_path.glob("part-*/counters.json")
+    sealed = counters.stat().st_ino  # an atomic re-seal replaces the inode
+
+    # Flush n: the same answer with a different (still replayable)
+    # history; its record replaces flush n-1's under the same name.
+    executor = PlanExecutor(store, seed=SEED, cache_dir=tmp_path)
+    part = executor.cache.partition(
+        fingerprint=store.fingerprint(),
+        shuffle=executor.sampler.shuffle_fingerprint(),
+    )
+    (entry,) = part._answers
+    history = part._history(entry)
+    assert history is not None
+    shape = dict(
+        kind=entry.kind, score=entry.score, epsilon=entry.epsilon,
+        failure_probability=entry.failure_probability,
+        schedule_start=entry.schedule_start, candidates=entry.candidates,
+        target=entry.target, prune=entry.prune,
+    )
+    part.put_answer(
+        **shape,
+        param=entry.param,
+        history=[(size, {**bounds, "unused": (0.0, 1.0, 1.0, 0.5)})
+                 for size, bounds in history],
+        result=result_from_payload(entry.result),
+    )
+    executor.cache.flush()
+    assert _history_record(tmp_path).read_bytes() != older
+    assert counters.stat().st_ino == sealed  # an unchanged record is not re-sealed
+
+    def lookup_k1():
+        fresh = PlanCache(tmp_path).partition(
+            fingerprint=part.fingerprint, shuffle=part.shuffle
+        )
+        return fresh.lookup_answer(
+            **shape, param=1.0, population_size=store.num_rows
+        )
+
+    served = lookup_k1()
+    assert served is not None and served.mode == "semantic"
+    # A crash between the two writes of a flush: flush n's answers
+    # record, flush n-1's history record. The replay must not run.
+    _history_record(tmp_path).write_bytes(older)
+    assert lookup_k1() is None
+
+
+def test_answers_with_an_older_counter_record_miss(tmp_path: Path) -> None:
+    cache = PlanCache(tmp_path)
+    part = cache.partition(fingerprint="a" * 64, shuffle="s" * 64)
+    _absorb(part, "x", [2, 3])
+    cache.flush()
+    counters = tmp_path / partition_filename(part.fingerprint, part.shuffle)
+    counters = counters.with_suffix("") / "counters.json"
+    older = counters.read_bytes()
+    _absorb(part, "x", [4, 5])
+    cache.flush()
+    assert _served(tmp_path, part)[0] == 9
+    counters.write_bytes(older)
+    assert _served(tmp_path, part) is None

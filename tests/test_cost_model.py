@@ -202,9 +202,17 @@ def _query_shapes(draw):
 @settings(max_examples=400, deadline=None)
 @given(shape=_query_shapes())
 def test_estimate_equals_per_candidate_reference(shape) -> None:
+    # The memo is not cleared between examples, so a key that mixed up
+    # two shapes would serve one shape's estimate for another here.
     store = shape.pop("store")
     expected = _reference_estimate(store, **shape)
     assert CostModel().estimate(store, **shape) == expected
+    # Asked again, through a different store object with the same
+    # schema: served from the memo, bit-identical.
+    hits = cost._predict.cache_info().hits
+    same_schema = _Schema(num_rows=store.num_rows, supports=dict(store.supports))
+    assert CostModel().estimate(same_schema, **shape) == expected
+    assert cost._predict.cache_info().hits == hits + 1
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +255,37 @@ def test_half_width_computed_once_per_schedule_size(monkeypatch) -> None:
     # candidate biases, one target bias and five joint biases per size.
     per_size = Counter(size for _, size in bias_calls)
     assert max(per_size.values()) <= 11
+
+
+def test_estimate_is_computed_once_per_process(monkeypatch) -> None:
+    calls: list[int] = []
+    real_half_width = cost.permutation_half_width
+
+    def counting_half_width(*args):
+        calls.append(1)
+        return real_half_width(*args)
+
+    monkeypatch.setattr(cost, "permutation_half_width", counting_half_width)
+    store = _Schema(num_rows=10**5, supports={"a": 4, "b": 9, "t": 3})
+    shape = dict(kind="top_k", score="mutual_information", epsilon=0.1,
+                 candidates=["a", "b"], target="t")
+    first = CostModel().estimate(store, **shape)
+    evaluated = len(calls)
+    assert evaluated > 0
+    assert CostModel().estimate(store, **shape) == first
+    assert len(calls) == evaluated  # the rerun evaluated no Lemma 3 term
+    # Any input the prediction reads is part of the key.
+    for changed in (
+        dict(shape, epsilon=0.2),
+        dict(shape, failure_probability=0.01),
+        dict(shape, initial_size=64),
+        dict(shape, candidates=["b", "a", "a"]),
+    ):
+        CostModel().estimate(store, **changed)
+    CostModel().estimate(_Schema(10**5, {"a": 4, "b": 9, "t": 5}), **shape)
+    CostModel().estimate(_Schema(10**6, {"a": 4, "b": 9, "t": 3}), **shape)
+    assert cost._predict.cache_info().currsize == 7
+    assert cost._predict.cache_info().maxsize is not None  # bounded
 
 
 @pytest.mark.parametrize("score", ["entropy", "mutual_information"])

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.baselines.exact import exact_entropies, exact_mutual_informations
 from repro.data.filters import PAPER_MAX_SUPPORT
@@ -47,6 +54,58 @@ class TestRegistry:
         for plan in DATASETS.values():
             names = [c.name for c in plan.columns]
             assert len(names) == len(set(names))
+
+
+class TestLazyRegistry:
+    """Plans are built on first lookup, never at import."""
+
+    EAGER = {
+        "cdc": ("cdc", "cdc-behavioral-risk (synthetic analogue)", 300_000, 100,
+                3_753_802, 100, 1101, 2),
+        "hus": ("hus", "census-american-housing (synthetic analogue)", 400_000,
+                107, 14_768_919, 107, 1102, 2),
+        "pus": ("pus", "census-american-population (synthetic analogue)",
+                500_000, 179, 31_290_943, 179, 1103, 3),
+        "enem": ("enem", "enem (synthetic analogue)", 500_000, 117,
+                 33_714_152, 117, 1104, 2),
+    }
+
+    @pytest.mark.parametrize("key", sorted(EAGER))
+    def test_plan_equals_the_eager_build(self, key):
+        *args, seed, mi_groups = self.EAGER[key]
+        assert DATASETS[key] == build_plan(*args, seed=seed, mi_groups=mi_groups)
+        assert DATASETS[key] is DATASETS[key]  # built once
+
+    def test_registry_is_read_only(self):
+        with pytest.raises(TypeError):
+            DATASETS["extra"] = DATASETS["cdc"]  # type: ignore[index]
+        assert "extra" not in DATASETS
+        with pytest.raises(KeyError):
+            DATASETS["extra"]
+
+    def test_import_and_key_listing_build_no_plan(self, tmp_path):
+        # Bytecode goes to a scratch prefix, and the first run fills it,
+        # so the measured run times the module body, not its compilation.
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=str(tmp_path))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        code = (
+            "import repro\n"
+            "from repro.synth.datasets import DATASETS\n"
+            "sorted(DATASETS); 'cdc' in DATASETS; len(DATASETS)\n"
+            "assert not DATASETS._plans, DATASETS._plans\n"
+        )
+        command = [sys.executable, "-X", "importtime", "-c", code]
+        subprocess.run(command, env=env, check=True, capture_output=True)
+        stderr = subprocess.run(
+            command, env=env, check=True, capture_output=True, text=True
+        ).stderr
+        (line,) = [
+            line for line in stderr.splitlines()
+            if line.split("|")[-1].strip() == "repro.synth.datasets"
+        ]
+        self_us = int(line.split("|")[0].split(":")[1])
+        assert self_us < 10_000
 
 
 class TestBuildPlan:

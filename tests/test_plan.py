@@ -355,6 +355,37 @@ class TestBitIdentity:
         assert len(outcome) == 4
         assert session.queries_run == 4
 
+    @pytest.mark.parametrize("failure_probability", [None, 0.2])
+    def test_run_plan_schedules_at_the_executor_failure_probability(
+        self, failure_probability
+    ):
+        # 2e4 rows: the default 1/N and 0.2 predict different cells.
+        rng = np.random.default_rng(9)
+        n = 20_000
+        target = rng.integers(0, 6, n)
+        store = ColumnStore(
+            {
+                "wide": rng.integers(0, 64, n),
+                "medium": rng.integers(0, 12, n),
+                "target": target,
+                "noisy": np.where(rng.random(n) < 0.7, target, 0),
+            }
+        )
+        sink = InMemorySink()
+        PlanExecutor(
+            store, seed=SEED, trace=sink, failure_probability=failure_probability
+        ).run_plan(_mixed_specs())
+        (chosen,) = sink.of_kind("schedule_chosen")
+        expected = plan_queries(
+            store, _mixed_specs(), failure_probability=failure_probability
+        )
+        assert chosen.estimated_cells == expected.estimated_cells
+        assert chosen.queries == expected.names
+        if failure_probability is not None:
+            assert expected.estimated_cells != plan_queries(
+                store, _mixed_specs()
+            ).estimated_cells
+
 
 # ----------------------------------------------------------------------
 # Shared-scan accounting

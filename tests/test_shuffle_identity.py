@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import threading
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +28,7 @@ import pytest
 
 from repro.cache import partition_filename
 from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
-from repro.data import column_store
+from repro.data import column_store, sampling
 from repro.data.column_store import ColumnStore
 from repro.data.sampling import PrefixSampler
 from repro.durability.checkpoint import load_checkpoint
@@ -156,6 +159,88 @@ class TestLazyDraw:
                 assert result.attributes == cold.results[name].attributes
         assert permutation_draws.draws == 1  # no warm executor drew
         assert len(store_hashes) == 1  # four executors, one hash
+
+
+# ----------------------------------------------------------------------
+# One shuffle held per process
+# ----------------------------------------------------------------------
+class TestHeldShuffle:
+    def test_two_executors_with_one_seed_draw_once(self, permutation_draws):
+        store = _store()
+        first = PlanExecutor(store, seed=SEED).execute(plan_queries(store, _specs()))
+        second = PlanExecutor(store, seed=SEED).execute(plan_queries(store, _specs()))
+        assert permutation_draws.draws == 1
+        assert plan_fingerprint(first) == plan_fingerprint(second)
+        PlanExecutor(store, seed=SEED + 1).execute(plan_queries(store, _specs()))
+        assert permutation_draws.draws == 2
+
+    def test_new_seed_frees_the_held_shuffle_before_drawing(self, monkeypatch):
+        store = _store()
+        sampler = PrefixSampler(store, seed=SEED)
+        held = weakref.ref(sampler.shuffled_prefix(store.num_rows).base)
+        del sampler
+        assert held() is not None  # still held for the next sampler
+        alive_at_draw = []
+
+        class Recording(np.random.Generator):
+            def permutation(self, x, axis=0):
+                alive_at_draw.append(held() is not None)
+                return super().permutation(x, axis)
+
+        monkeypatch.setattr(
+            np.random, "default_rng",
+            lambda seed=None: Recording(np.random.PCG64(seed)),
+        )
+        PrefixSampler(store, seed=SEED + 1).shuffled_prefix(10)
+        assert alive_at_draw == [False]
+        assert held() is None
+
+    def test_a_live_sampler_keeps_its_shuffle(self):
+        store = _store()
+        first = PrefixSampler(store, seed=SEED)
+        rows = first.shuffled_prefix(store.num_rows).copy()
+        PrefixSampler(store, seed=SEED + 1).shuffled_prefix(10)
+        np.testing.assert_array_equal(first.shuffled_prefix(store.num_rows), rows)
+
+    def test_threads_drawing_two_seeds_hold_at_most_one(self):
+        store = _store()
+        expected = {
+            seed: np.random.default_rng(seed).permutation(store.num_rows)
+            for seed in (SEED, SEED + 1)
+        }
+        wrong: list[int] = []
+
+        def draw(thread: int) -> None:
+            for index in range(40):
+                seed = SEED + (thread + index) % 2
+                rows = PrefixSampler(store, seed=seed).shuffled_prefix(store.num_rows)
+                if not np.array_equal(rows, expected[seed]):
+                    wrong.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(sampling._held_shuffle) == 1
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"seed": SEED}, {"seed": np.random.default_rng(SEED)}, {"sequential": True}],
+        ids=["int_seed", "generator", "sequential"],
+    )
+    def test_shuffled_prefix_is_read_only(self, options):
+        prefix = PrefixSampler(_store(), **options).shuffled_prefix(20)
+        assert not prefix.flags.writeable
+        with pytest.raises(ValueError):
+            prefix[0] = 1
 
 
 # ----------------------------------------------------------------------
